@@ -1,7 +1,7 @@
 // Multi-shard serving-tier scaling sweep (docs/SHARDING.md): how ingest
-// throughput, merged Finalize, and sealed-delta shipping behave as the
-// table is partitioned across 1/2/4/8 engine shards behind the
-// ShardRouter facade.
+// throughput and merged Finalize behave as the table is partitioned across
+// 1/2/4/8 engine shards behind the ShardRouter facade, in process and with
+// every shard behind its own server.
 //
 // (a) Routed ingestion: the full accept path per shard count — global
 //     session fan-out, row -> shard routing, per-shard lease + engine
@@ -11,10 +11,7 @@
 // (b) Merged Finalize: the cross-shard gather / seq merge-sort / fresh
 //     batch-fit that buys the bit-identity guarantee, swept over shard
 //     counts at a fixed accepted history.
-// (c) Delta shipping: PushDeltas() encoding every shard's pending answers
-//     as TCNP kShardDelta payloads into an in-process StandbyReplica —
-//     the wire-codec cost of keeping a warm standby current.
-// (d) Multi-process mode: the same routed-ingest sweep with every shard
+// (c) Multi-process mode: the same routed-ingest sweep with every shard
 //     behind a real net::Server on loopback and the router on
 //     RemoteShardBackends — the per-answer cost of moving a shard out of
 //     process (TCNP round-trips on the router's mutex), comparable
@@ -247,39 +244,6 @@ BENCHMARK(BM_ShardRouterIngestOverSockets)
     ->Args({1, 20000})
     ->Args({2, 20000})
     ->Args({4, 20000})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ShardDeltaPushToStandby(benchmark::State& state) {
-  const int shards = static_cast<int>(state.range(0));
-  ShardWorld world(20000);
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto standby = std::make_unique<service::StandbyReplica>(
-        world.table.schema, world.table.truth.num_rows());
-    service::ShardRouterConfig config =
-        RouterConfig(shards, /*with_fits=*/false);
-    service::StandbyReplica* sink = standby.get();
-    config.delta_sink = [sink](const net::ShardDeltaRequest& delta) {
-      return sink->Apply(delta);
-    };
-    service::ShardRouter router(world.table.schema,
-                                world.table.truth.num_rows(),
-                                std::move(config));
-    DriveScript(&router, world);
-    state.ResumeTiming();
-    Status pushed = router.PushDeltas();
-    benchmark::DoNotOptimize(pushed.ok());
-    benchmark::DoNotOptimize(standby->live_answers());
-  }
-  state.counters["shards"] = static_cast<double>(shards);
-  state.counters["answers"] = static_cast<double>(world.answers.size());
-  state.counters["answers_per_sec"] = benchmark::Counter(
-      static_cast<double>(world.answers.size()),
-      benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_ShardDeltaPushToStandby)
-    ->Arg(1)
-    ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

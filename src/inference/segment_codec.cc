@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/string_util.h"
+#include "data/byte_codec.h"
 
 namespace tcrowd {
 namespace {
@@ -16,169 +17,21 @@ constexpr uint32_t kManifestMagic = 0x464d4354;
 constexpr uint32_t kJournalMagic = 0x524a4354;
 constexpr uint32_t kJournalRetractMagic = 0x584a4354;
 
-// Smallest possible per-answer encoding (worker+row+col+kind byte): used to
-// sanity-bound decoded counts before any allocation, so a corrupt count
-// field cannot demand a multi-gigabyte reserve.
-constexpr size_t kMinAnswerBytes = 3 * 4 + 1;
-
-// --------------------------------------------------------------------------
-// Little-endian primitives. Explicit byte shifts (not memcpy of the host
-// representation) keep the on-disk format platform-defined.
-
-void PutU8(uint8_t v, std::string* out) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU32(uint32_t v, std::string* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+/// Reads a strict decoder's CRC-32 trailer: it must be the record's last
+/// four bytes and match everything before it.
+Status ReadTrailer(ByteReader* r, const char* record) {
+  const uint32_t crc = r->ConsumedCrc32();
+  uint32_t stored;
+  if (!r->U32(&stored) || !r->done()) {
+    return Status::IoError(StrFormat("%s: bad framing length", record));
   }
-}
-
-void PutU64(uint64_t v, std::string* out) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  if (stored != crc) {
+    return Status::IoError(StrFormat("%s: checksum mismatch", record));
   }
-}
-
-void PutI32(int32_t v, std::string* out) {
-  PutU32(static_cast<uint32_t>(v), out);
-}
-
-void PutDouble(double v, std::string* out) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v), "IEEE-754 double expected");
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(bits, out);
-}
-
-/// Bounds-checked sequential reader over a decode buffer. Every getter
-/// returns false instead of reading past the end.
-struct Reader {
-  const uint8_t* p;
-  size_t left;
-
-  Reader(const void* data, size_t size)
-      : p(static_cast<const uint8_t*>(data)), left(size) {}
-
-  bool U8(uint8_t* v) {
-    if (left < 1) return false;
-    *v = p[0];
-    ++p;
-    --left;
-    return true;
-  }
-  bool U32(uint32_t* v) {
-    if (left < 4) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) *v |= static_cast<uint32_t>(p[i]) << (8 * i);
-    p += 4;
-    left -= 4;
-    return true;
-  }
-  bool U64(uint64_t* v) {
-    if (left < 8) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) *v |= static_cast<uint64_t>(p[i]) << (8 * i);
-    p += 8;
-    left -= 8;
-    return true;
-  }
-  bool I32(int32_t* v) {
-    uint32_t u;
-    if (!U32(&u)) return false;
-    *v = static_cast<int32_t>(u);
-    return true;
-  }
-  bool Double(double* v) {
-    uint64_t bits;
-    if (!U64(&bits)) return false;
-    std::memcpy(v, &bits, sizeof(*v));
-    return true;
-  }
-  bool Bytes(size_t n, std::string* out) {
-    if (left < n) return false;
-    out->assign(reinterpret_cast<const char*>(p), n);
-    p += n;
-    left -= n;
-    return true;
-  }
-};
-
-// Value kind tags on disk. Answers are normally always valid (the service
-// validates before acceptance), but the codec round-trips a missing value
-// anyway rather than aborting on one.
-constexpr uint8_t kKindCategorical = 0;
-constexpr uint8_t kKindContinuous = 1;
-constexpr uint8_t kKindMissing = 2;
-
-void PutAnswer(const Answer& a, std::string* out) {
-  PutI32(a.worker, out);
-  PutI32(a.cell.row, out);
-  PutI32(a.cell.col, out);
-  if (a.value.is_categorical()) {
-    PutU8(kKindCategorical, out);
-    PutI32(a.value.label(), out);
-  } else if (a.value.is_continuous()) {
-    PutU8(kKindContinuous, out);
-    PutDouble(a.value.number(), out);
-  } else {
-    PutU8(kKindMissing, out);
-  }
-}
-
-bool GetAnswer(Reader* r, Answer* a) {
-  int32_t worker, row, col;
-  uint8_t kind;
-  if (!r->I32(&worker) || !r->I32(&row) || !r->I32(&col) || !r->U8(&kind)) {
-    return false;
-  }
-  a->worker = worker;
-  a->cell = CellRef{row, col};
-  if (kind == kKindCategorical) {
-    int32_t label;
-    if (!r->I32(&label)) return false;
-    a->value = Value::Categorical(label);
-  } else if (kind == kKindContinuous) {
-    double number;
-    if (!r->Double(&number)) return false;
-    a->value = Value::Continuous(number);
-  } else if (kind == kKindMissing) {
-    a->value = Value();
-  } else {
-    return false;  // unknown kind tag: corrupt
-  }
-  return true;
-}
-
-/// Parses the answers of one frame whose header already passed; leaves the
-/// reader positioned at the frame's CRC. False on any truncation/garbage.
-bool GetAnswers(Reader* r, uint64_t count, std::vector<Answer>* out) {
-  if (count > r->left / kMinAnswerBytes + 1) return false;
-  out->reserve(out->size() + static_cast<size_t>(count));
-  for (uint64_t k = 0; k < count; ++k) {
-    Answer a;
-    if (!GetAnswer(r, &a)) return false;
-    out->push_back(a);
-  }
-  return true;
+  return Status::Ok();
 }
 
 }  // namespace
-
-uint32_t Crc32(const void* data, size_t n, uint32_t seed) {
-  // Table-free bitwise CRC-32 (IEEE, reflected). The codec runs once per
-  // seal/restore, not per answer submit, so simplicity beats a lookup table.
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  uint32_t crc = ~seed;
-  for (size_t i = 0; i < n; ++i) {
-    crc ^= p[i];
-    for (int b = 0; b < 8; ++b) {
-      crc = (crc >> 1) ^ (0xedb88320u & (~(crc & 1u) + 1u));
-    }
-  }
-  return ~crc;
-}
 
 uint64_t SchemaFingerprint(const Schema& schema, int num_rows) {
   // FNV-1a over an unambiguous serialization of the table shape.
@@ -226,12 +79,12 @@ void EncodeAnswerBlock(const Answer* answers, size_t n, std::string* out) {
   PutU32(kSegmentCodecVersion, out);
   PutU64(n, out);
   for (size_t k = 0; k < n; ++k) PutAnswer(answers[k], out);
-  PutU32(Crc32(out->data() + start, out->size() - start), out);
+  PutCrc32Since(start, out);
 }
 
 Status DecodeAnswerBlock(const void* data, size_t size,
                          std::vector<Answer>* out) {
-  Reader r(data, size);
+  ByteReader r(data, size);
   uint32_t magic, version;
   uint64_t count;
   if (!r.U32(&magic) || !r.U32(&version) || !r.U64(&count)) {
@@ -250,14 +103,8 @@ Status DecodeAnswerBlock(const void* data, size_t size,
   if (!GetAnswers(&r, count, &decoded)) {
     return Status::IoError("answer block: truncated or corrupt payload");
   }
-  size_t crc_offset = size - r.left;
-  uint32_t stored;
-  if (!r.U32(&stored) || r.left != 0) {
-    return Status::IoError("answer block: bad framing length");
-  }
-  if (stored != Crc32(data, crc_offset)) {
-    return Status::IoError("answer block: checksum mismatch");
-  }
+  Status trailer = ReadTrailer(&r, "answer block");
+  if (!trailer.ok()) return trailer;
   out->insert(out->end(), decoded.begin(), decoded.end());
   return Status::Ok();
 }
@@ -270,18 +117,17 @@ void EncodeManifest(const SnapshotManifest& manifest, std::string* out) {
   PutU64(manifest.sealed_answers, out);
   PutU32(static_cast<uint32_t>(manifest.segments.size()), out);
   for (const ManifestSegment& seg : manifest.segments) {
-    PutU32(static_cast<uint32_t>(seg.file.size()), out);
-    out->append(seg.file);
+    PutString(seg.file, out);
     PutU64(seg.count, out);
     PutU32(seg.crc, out);
   }
   PutU32(static_cast<uint32_t>(manifest.retracted_ids.size()), out);
   for (uint64_t id : manifest.retracted_ids) PutU64(id, out);
-  PutU32(Crc32(out->data() + start, out->size() - start), out);
+  PutCrc32Since(start, out);
 }
 
 Status DecodeManifest(const void* data, size_t size, SnapshotManifest* out) {
-  Reader r(data, size);
+  ByteReader r(data, size);
   uint32_t magic, version;
   if (!r.U32(&magic) || !r.U32(&version)) {
     return Status::IoError("manifest: truncated header");
@@ -304,9 +150,7 @@ Status DecodeManifest(const void* data, size_t size, SnapshotManifest* out) {
   uint64_t total = 0;
   for (uint32_t s = 0; s < num_segments; ++s) {
     ManifestSegment seg;
-    uint32_t name_len;
-    if (!r.U32(&name_len) || !r.Bytes(name_len, &seg.file) ||
-        !r.U64(&seg.count) || !r.U32(&seg.crc)) {
+    if (!r.String(&seg.file) || !r.U64(&seg.count) || !r.U32(&seg.crc)) {
       return Status::IoError("manifest: truncated segment table");
     }
     total += seg.count;
@@ -316,7 +160,7 @@ Status DecodeManifest(const void* data, size_t size, SnapshotManifest* out) {
   if (!r.U32(&num_retracted)) {
     return Status::IoError("manifest: truncated retraction table");
   }
-  if (num_retracted > r.left / 8) {
+  if (!r.Count(num_retracted, 8)) {
     return Status::IoError("manifest: retraction count exceeds payload");
   }
   decoded.retracted_ids.reserve(num_retracted);
@@ -327,14 +171,8 @@ Status DecodeManifest(const void* data, size_t size, SnapshotManifest* out) {
     }
     decoded.retracted_ids.push_back(id);
   }
-  size_t crc_offset = size - r.left;
-  uint32_t stored;
-  if (!r.U32(&stored) || r.left != 0) {
-    return Status::IoError("manifest: bad framing length");
-  }
-  if (stored != Crc32(data, crc_offset)) {
-    return Status::IoError("manifest: checksum mismatch");
-  }
+  Status trailer = ReadTrailer(&r, "manifest");
+  if (!trailer.ok()) return trailer;
   if (total != decoded.sealed_answers) {
     return Status::IoError(
         StrFormat("manifest: segment counts sum to %llu, header says %llu",
@@ -362,7 +200,7 @@ void EncodeJournalRecord(uint64_t base_id, const Answer* answers, size_t n,
   PutU64(base_id, out);
   PutU64(n, out);
   for (size_t k = 0; k < n; ++k) PutAnswer(answers[k], out);
-  PutU32(Crc32(out->data() + start, out->size() - start), out);
+  PutCrc32Since(start, out);
 }
 
 void EncodeRetractionRecord(uint64_t log_id, std::string* out) {
@@ -370,7 +208,7 @@ void EncodeRetractionRecord(uint64_t log_id, std::string* out) {
   PutU32(kJournalRetractMagic, out);
   PutU32(kSegmentCodecVersion, out);
   PutU64(log_id, out);
-  PutU32(Crc32(out->data() + start, out->size() - start), out);
+  PutCrc32Since(start, out);
 }
 
 Status DecodeJournal(const void* data, size_t size, JournalReplay* out) {
@@ -380,7 +218,7 @@ Status DecodeJournal(const void* data, size_t size, JournalReplay* out) {
   out->retracted_ids.clear();
   out->truncated = false;
   while (offset < size) {
-    Reader r(base + offset, size - offset);
+    ByteReader r(base + offset, size - offset);
     uint32_t magic, version;
     if (!r.U32(&magic) || !r.U32(&version) ||
         version != kSegmentCodecVersion) {
@@ -403,10 +241,9 @@ Status DecodeJournal(const void* data, size_t size, JournalReplay* out) {
         return Status::Ok();
       }
     }
-    size_t crc_offset = (size - offset) - r.left;
+    const uint32_t crc = r.ConsumedCrc32();
     uint32_t stored;
-    if (!r.U32(&stored) ||
-        stored != Crc32(base + offset, crc_offset)) {
+    if (!r.U32(&stored) || stored != crc) {
       out->truncated = true;
       return Status::Ok();
     }
@@ -415,7 +252,7 @@ Status DecodeJournal(const void* data, size_t size, JournalReplay* out) {
     } else {
       out->records.push_back(std::move(rec));
     }
-    offset += crc_offset + 4;
+    offset += r.consumed();
   }
   return Status::Ok();
 }

@@ -7,14 +7,16 @@
 
 #include "common/status.h"
 #include "data/answer.h"
+#include "data/byte_codec.h"
 #include "data/schema.h"
 
 namespace tcrowd {
 
 /// Binary on-disk codec for the durable answer log (see
 /// docs/PERSISTENCE.md). Four framed record kinds share one discipline —
-/// little-endian fixed-width fields, an explicit format version, and a
-/// trailing CRC-32 over everything before it:
+/// little-endian fixed-width fields (data/byte_codec.h, which also supplies
+/// Crc32), an explicit format version, and a trailing CRC-32 over
+/// everything before it:
 ///
 ///  - **answer block**: the chronological slice of the log one sealed
 ///    segment file holds (`EncodeAnswerBlock`/`DecodeAnswerBlock`);
@@ -46,10 +48,6 @@ namespace tcrowd {
 /// decoders refuse other revisions rather than guessing. Version 2 added
 /// the manifest's retraction table and the journal retraction record.
 inline constexpr uint32_t kSegmentCodecVersion = 2;
-
-/// CRC-32 (IEEE 802.3 polynomial, bit-reflected) of `n` bytes, chainable
-/// via `seed` (pass the previous call's return value to continue a stream).
-uint32_t Crc32(const void* data, size_t n, uint32_t seed = 0);
 
 /// Order-sensitive FNV-1a fingerprint of the table shape a snapshot was
 /// written under: number of rows plus every column's name, type, label set,

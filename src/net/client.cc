@@ -115,18 +115,6 @@ Status Client::Stats(const StatsRequest& req, StatsResponse* resp) {
   return Request(frame, MsgType::kStatsResp, DecodeStatsResponse, resp);
 }
 
-Status Client::ShardDelta(const ShardDeltaRequest& req,
-                          ShardDeltaResponse* resp) {
-  if (negotiated_version_ < 2) {
-    return Status::FailedPrecondition(
-        "ShardDelta requires a Hello that negotiated protocol version >= 2");
-  }
-  std::string frame;
-  EncodeShardDeltaRequest(req, &frame);
-  return Request(frame, MsgType::kShardDeltaResp, DecodeShardDeltaResponse,
-                 resp);
-}
-
 Status Client::LogGather(const LogGatherRequest& req,
                          LogGatherResponse* resp) {
   if (negotiated_version_ < 3) {

@@ -53,9 +53,6 @@ class Client {
   Status Bye(const ByeRequest& req, ByeResponse* resp);
   Status Finalize(const FinalizeRequest& req, FinalizeResponse* resp);
   Status Stats(const StatsRequest& req, StatsResponse* resp);
-  /// v2 only: ships one inter-shard answer delta (docs/SHARDING.md).
-  /// FailedPrecondition without a prior Hello that negotiated version >= 2.
-  Status ShardDelta(const ShardDeltaRequest& req, ShardDeltaResponse* resp);
   /// v3 only: gathers the shard daemon's ordered live answer log / books
   /// recorded leases onto a session (router-to-daemon traffic,
   /// docs/SHARDING.md). FailedPrecondition without a prior Hello that

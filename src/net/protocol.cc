@@ -1,144 +1,17 @@
 #include "net/protocol.h"
 
-#include <cstring>
-
-#include "inference/segment_codec.h"
+#include "data/byte_codec.h"
 
 namespace tcrowd::net {
 namespace {
 
-// --------------------------------------------------------------------------
-// Little-endian primitives (same discipline as segment_codec.cc: explicit
-// byte shifts, never memcpy of the host representation).
+// 0x08/0x88: a retired v2 message kind. Reserved, never reused: frames
+// carrying it are corrupt "unknown message type" (docs/PROTOCOL.md).
+constexpr uint8_t kReservedKind = 0x08;
 
-void PutU8(uint8_t v, std::string* out) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU32(uint32_t v, std::string* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(uint64_t v, std::string* out) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutI32(int32_t v, std::string* out) {
-  PutU32(static_cast<uint32_t>(v), out);
-}
-
-void PutI64(int64_t v, std::string* out) {
-  PutU64(static_cast<uint64_t>(v), out);
-}
-
-void PutDouble(double v, std::string* out) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v), "IEEE-754 double expected");
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(bits, out);
-}
-
-/// Bounds-checked sequential reader; every getter returns false instead of
-/// reading past the end.
-struct Reader {
-  const uint8_t* p;
-  size_t left;
-
-  Reader(const void* data, size_t size)
-      : p(static_cast<const uint8_t*>(data)), left(size) {}
-
-  bool U8(uint8_t* v) {
-    if (left < 1) return false;
-    *v = p[0];
-    ++p;
-    --left;
-    return true;
-  }
-  bool U32(uint32_t* v) {
-    if (left < 4) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) *v |= static_cast<uint32_t>(p[i]) << (8 * i);
-    p += 4;
-    left -= 4;
-    return true;
-  }
-  bool U64(uint64_t* v) {
-    if (left < 8) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) *v |= static_cast<uint64_t>(p[i]) << (8 * i);
-    p += 8;
-    left -= 8;
-    return true;
-  }
-  bool I32(int32_t* v) {
-    uint32_t u;
-    if (!U32(&u)) return false;
-    *v = static_cast<int32_t>(u);
-    return true;
-  }
-  bool I64(int64_t* v) {
-    uint64_t u;
-    if (!U64(&u)) return false;
-    *v = static_cast<int64_t>(u);
-    return true;
-  }
-  bool Double(double* v) {
-    uint64_t bits;
-    if (!U64(&bits)) return false;
-    std::memcpy(v, &bits, sizeof(*v));
-    return true;
-  }
-  bool Done() const { return left == 0; }
-};
-
-// Value kind tags on the wire (same vocabulary as the disk codec).
-constexpr uint8_t kKindCategorical = 0;
-constexpr uint8_t kKindContinuous = 1;
-constexpr uint8_t kKindMissing = 2;
-
-void PutValue(const Value& v, std::string* out) {
-  if (v.is_categorical()) {
-    PutU8(kKindCategorical, out);
-    PutI32(v.label(), out);
-  } else if (v.is_continuous()) {
-    PutU8(kKindContinuous, out);
-    PutDouble(v.number(), out);
-  } else {
-    PutU8(kKindMissing, out);
-  }
-}
-
-bool GetValue(Reader* r, Value* v) {
-  uint8_t kind;
-  if (!r->U8(&kind)) return false;
-  if (kind == kKindCategorical) {
-    int32_t label;
-    if (!r->I32(&label)) return false;
-    *v = Value::Categorical(label);
-    return true;
-  }
-  if (kind == kKindContinuous) {
-    double number;
-    if (!r->Double(&number)) return false;
-    *v = Value::Continuous(number);
-    return true;
-  }
-  if (kind == kKindMissing) {
-    *v = Value();
-    return true;
-  }
-  return false;
-}
-
-// Smallest possible per-item encodings: sanity-bound decoded counts before
-// any allocation so a hostile count cannot demand a multi-gigabyte reserve.
-constexpr size_t kMinCellBytes = 8;           // row + col
-constexpr size_t kMinSubmitItemBytes = 8 + 1;  // cell + kind tag
-constexpr size_t kMinColumnBytes = 1 + 4;      // type + label_count
+// Smallest possible per-item encodings, for the ByteReader::Count guard.
+constexpr size_t kMinSubmitItemBytes = kMinCellBytes + kMinValueBytes;
+constexpr size_t kMinColumnBytes = 1 + 4;  // type + label_count
 
 /// Appends the frame envelope around an encoded payload. Messages that
 /// exist in v1 always ship as v1 frames (byte-identical to pre-negotiation
@@ -149,14 +22,32 @@ void PutFrame(MsgType type, const std::string& payload, std::string* out,
   PutU32(kFrameMagic, out);
   PutU8(version, out);
   PutU8(static_cast<uint8_t>(type), out);
-  PutU32(static_cast<uint32_t>(payload.size()), out);
-  out->append(payload);
-  uint32_t crc = Crc32(out->data() + start, out->size() - start);
-  PutU32(crc, out);
+  PutString(payload, out);
+  PutCrc32Since(start, out);
 }
 
 Status Malformed(const char* what) {
   return Status::InvalidArgument(std::string("net frame payload: ") + what);
+}
+
+/// The payload of a status-only response: one WireStatus byte.
+std::string StatusPayload(WireStatus status) {
+  return std::string(1, static_cast<char>(status));
+}
+
+/// Decodes a StatusPayload.
+Status DecodeStatusOnly(const void* data, size_t size, const char* what,
+                        WireStatus* status) {
+  ByteReader r(data, size);
+  uint8_t byte;
+  if (!r.U8(&byte) || !r.done()) return Malformed(what);
+  *status = static_cast<WireStatus>(byte);
+  return Status::Ok();
+}
+
+/// Decodes a request whose payload must be empty.
+Status DecodeEmpty(size_t size, const char* what) {
+  return size == 0 ? Status::Ok() : Malformed(what);
 }
 
 /// Parses one frame at `data` (size bytes available). Shared by the strict
@@ -167,7 +58,7 @@ enum class ParseVerdict { kFrame, kNeedMore, kCorrupt };
 ParseVerdict ParseFrame(const uint8_t* data, size_t size, size_t max_payload,
                         Frame* out, size_t* consumed, std::string* error) {
   if (size < kFrameHeaderBytes) return ParseVerdict::kNeedMore;
-  Reader header(data, size);
+  ByteReader header(data, size);
   uint32_t magic, payload_len;
   uint8_t version, type;
   header.U32(&magic);
@@ -193,14 +84,15 @@ ParseVerdict ParseFrame(const uint8_t* data, size_t size, size_t max_payload,
     return ParseVerdict::kCorrupt;
   }
   if (version < MinProtocolVersionForMsgType(type)) {
-    // A v2-only kind in a v1 frame: the sender never negotiated the
+    // A v3-only kind in an older frame: the sender never negotiated the
     // version that defines the message, so the stream is not trustworthy.
     if (error != nullptr) *error = "message kind not in frame's version";
     return ParseVerdict::kCorrupt;
   }
   size_t total = kFrameHeaderBytes + payload_len + kFrameTrailerBytes;
   if (size < total) return ParseVerdict::kNeedMore;
-  Reader trailer(data + kFrameHeaderBytes + payload_len, kFrameTrailerBytes);
+  ByteReader trailer(data + kFrameHeaderBytes + payload_len,
+                     kFrameTrailerBytes);
   uint32_t crc;
   trailer.U32(&crc);
   if (crc != Crc32(data, kFrameHeaderBytes + payload_len)) {
@@ -227,7 +119,6 @@ const char* MsgTypeName(MsgType type) {
     case MsgType::kBye: return "Bye";
     case MsgType::kFinalize: return "Finalize";
     case MsgType::kStats: return "Stats";
-    case MsgType::kShardDelta: return "ShardDelta";
     case MsgType::kLogGather: return "LogGather";
     case MsgType::kApplyLeases: return "ApplyLeases";
     case MsgType::kHelloResp: return "HelloResp";
@@ -237,7 +128,6 @@ const char* MsgTypeName(MsgType type) {
     case MsgType::kByeResp: return "ByeResp";
     case MsgType::kFinalizeResp: return "FinalizeResp";
     case MsgType::kStatsResp: return "StatsResp";
-    case MsgType::kShardDeltaResp: return "ShardDeltaResp";
     case MsgType::kLogGatherResp: return "LogGatherResp";
     case MsgType::kApplyLeasesResp: return "ApplyLeasesResp";
   }
@@ -247,13 +137,13 @@ const char* MsgTypeName(MsgType type) {
 bool IsKnownMsgType(uint8_t type) {
   uint8_t base = type & 0x7f;
   return base >= static_cast<uint8_t>(MsgType::kHello) &&
-         base <= static_cast<uint8_t>(MsgType::kApplyLeases);
+         base <= static_cast<uint8_t>(MsgType::kApplyLeases) &&
+         base != kReservedKind;
 }
 
 uint8_t MinProtocolVersionForMsgType(uint8_t type) {
   uint8_t base = type & 0x7f;
-  if (base >= static_cast<uint8_t>(MsgType::kLogGather)) return 3;
-  return base == static_cast<uint8_t>(MsgType::kShardDelta) ? 2 : 1;
+  return base >= static_cast<uint8_t>(MsgType::kLogGather) ? 3 : 1;
 }
 
 bool NegotiateProtocolVersion(uint8_t client_min, uint8_t client_max,
@@ -343,11 +233,7 @@ void EncodeLeaseResponse(const LeaseResponse& msg, std::string* out) {
   std::string payload;
   PutU8(static_cast<uint8_t>(msg.status), &payload);
   PutU8(msg.drained, &payload);
-  PutU32(static_cast<uint32_t>(msg.cells.size()), &payload);
-  for (const CellRef& cell : msg.cells) {
-    PutI32(cell.row, &payload);
-    PutI32(cell.col, &payload);
-  }
+  PutCells(msg.cells, &payload);
   PutFrame(MsgType::kLeaseResp, payload, out);
 }
 
@@ -357,8 +243,7 @@ void EncodeSubmitBatchRequest(const SubmitBatchRequest& msg,
   PutU64(msg.session, &payload);
   PutU32(static_cast<uint32_t>(msg.items.size()), &payload);
   for (const auto& [cell, value] : msg.items) {
-    PutI32(cell.row, &payload);
-    PutI32(cell.col, &payload);
+    PutCell(cell, &payload);
     PutValue(value, &payload);
   }
   PutFrame(MsgType::kSubmitBatch, payload, out);
@@ -376,15 +261,12 @@ void EncodeSubmitBatchResponse(const SubmitBatchResponse& msg,
 void EncodeRetractRequest(const RetractRequest& msg, std::string* out) {
   std::string payload;
   PutI32(msg.worker, &payload);
-  PutI32(msg.cell.row, &payload);
-  PutI32(msg.cell.col, &payload);
+  PutCell(msg.cell, &payload);
   PutFrame(MsgType::kRetract, payload, out);
 }
 
 void EncodeRetractResponse(const RetractResponse& msg, std::string* out) {
-  std::string payload;
-  PutU8(static_cast<uint8_t>(msg.status), &payload);
-  PutFrame(MsgType::kRetractResp, payload, out);
+  PutFrame(MsgType::kRetractResp, StatusPayload(msg.status), out);
 }
 
 void EncodeByeRequest(const ByeRequest& msg, std::string* out) {
@@ -394,9 +276,7 @@ void EncodeByeRequest(const ByeRequest& msg, std::string* out) {
 }
 
 void EncodeByeResponse(const ByeResponse& msg, std::string* out) {
-  std::string payload;
-  PutU8(static_cast<uint8_t>(msg.status), &payload);
-  PutFrame(MsgType::kByeResp, payload, out);
+  PutFrame(MsgType::kByeResp, StatusPayload(msg.status), out);
 }
 
 void EncodeFinalizeRequest(const FinalizeRequest&, std::string* out) {
@@ -446,28 +326,6 @@ void EncodeStatsResponse(const StatsResponse& msg, std::string* out) {
   PutFrame(MsgType::kStatsResp, payload, out);
 }
 
-void EncodeShardDeltaRequest(const ShardDeltaRequest& msg, std::string* out) {
-  std::string payload;
-  PutU32(msg.shard, &payload);
-  PutU64(msg.schema_fingerprint, &payload);
-  PutU32(static_cast<uint32_t>(msg.seqs.size()), &payload);
-  for (uint64_t seq : msg.seqs) PutU64(seq, &payload);
-  PutU32(static_cast<uint32_t>(msg.retracted_seqs.size()), &payload);
-  for (uint64_t seq : msg.retracted_seqs) PutU64(seq, &payload);
-  PutU32(static_cast<uint32_t>(msg.block.size()), &payload);
-  payload.append(msg.block);
-  PutFrame(MsgType::kShardDelta, payload, out, 2);
-}
-
-void EncodeShardDeltaResponse(const ShardDeltaResponse& msg,
-                              std::string* out) {
-  std::string payload;
-  PutU8(static_cast<uint8_t>(msg.status), &payload);
-  PutU64(msg.answers_applied, &payload);
-  PutU64(msg.retractions_applied, &payload);
-  PutFrame(MsgType::kShardDeltaResp, payload, out, 2);
-}
-
 void EncodeLogGatherRequest(const LogGatherRequest&, std::string* out) {
   PutFrame(MsgType::kLogGather, std::string(), out, 3);
 }
@@ -477,8 +335,7 @@ void EncodeLogGatherResponse(const LogGatherResponse& msg,
   std::string payload;
   PutU8(static_cast<uint8_t>(msg.status), &payload);
   PutU64(msg.answer_count, &payload);
-  PutU32(static_cast<uint32_t>(msg.block.size()), &payload);
-  payload.append(msg.block);
+  PutString(msg.block, &payload);
   PutFrame(MsgType::kLogGatherResp, payload, out, 3);
 }
 
@@ -486,35 +343,29 @@ void EncodeApplyLeasesRequest(const ApplyLeasesRequest& msg,
                               std::string* out) {
   std::string payload;
   PutU64(msg.session, &payload);
-  PutU32(static_cast<uint32_t>(msg.cells.size()), &payload);
-  for (const CellRef& cell : msg.cells) {
-    PutI32(cell.row, &payload);
-    PutI32(cell.col, &payload);
-  }
+  PutCells(msg.cells, &payload);
   PutFrame(MsgType::kApplyLeases, payload, out, 3);
 }
 
 void EncodeApplyLeasesResponse(const ApplyLeasesResponse& msg,
                                std::string* out) {
-  std::string payload;
-  PutU8(static_cast<uint8_t>(msg.status), &payload);
-  PutFrame(MsgType::kApplyLeasesResp, payload, out, 3);
+  PutFrame(MsgType::kApplyLeasesResp, StatusPayload(msg.status), out, 3);
 }
 
 // ---------------------------------------------------------------------------
 // Payload decoders.
 
 Status DecodeHelloRequest(const void* data, size_t size, HelloRequest* out) {
-  Reader r(data, size);
+  ByteReader r(data, size);
   if (!r.I32(&out->worker)) return Malformed("Hello");
-  if (r.Done()) {
+  if (r.done()) {
     // Legacy v1 Hello: no range on the wire means the client speaks
     // exactly version 1.
     out->min_version = 1;
     out->max_version = 1;
     return Status::Ok();
   }
-  if (!r.U8(&out->min_version) || !r.U8(&out->max_version) || !r.Done()) {
+  if (!r.U8(&out->min_version) || !r.U8(&out->max_version) || !r.done()) {
     return Malformed("Hello version range");
   }
   return Status::Ok();
@@ -522,7 +373,7 @@ Status DecodeHelloRequest(const void* data, size_t size, HelloRequest* out) {
 
 Status DecodeHelloResponse(const void* data, size_t size,
                            HelloResponse* out) {
-  Reader r(data, size);
+  ByteReader r(data, size);
   uint8_t status;
   uint32_t count;
   if (!r.U8(&status) || !r.U64(&out->session) ||
@@ -530,7 +381,7 @@ Status DecodeHelloResponse(const void* data, size_t size,
       !r.U32(&count)) {
     return Malformed("HelloResp");
   }
-  if (static_cast<size_t>(count) * kMinColumnBytes > r.left) {
+  if (!r.Count(count, kMinColumnBytes)) {
     return Malformed("HelloResp column count exceeds payload");
   }
   out->status = static_cast<WireStatus>(status);
@@ -543,19 +394,19 @@ Status DecodeHelloResponse(const void* data, size_t size,
     }
     out->columns.push_back(col);
   }
-  if (r.Done()) {
+  if (r.done()) {
     out->negotiated_version = 1;  // legacy v1 response
     return Status::Ok();
   }
-  if (!r.U8(&out->negotiated_version) || !r.Done()) {
+  if (!r.U8(&out->negotiated_version) || !r.done()) {
     return Malformed("HelloResp trailing bytes");
   }
   return Status::Ok();
 }
 
 Status DecodeLeaseRequest(const void* data, size_t size, LeaseRequest* out) {
-  Reader r(data, size);
-  if (!r.U64(&out->session) || !r.U32(&out->max_tasks) || !r.Done()) {
+  ByteReader r(data, size);
+  if (!r.U64(&out->session) || !r.U32(&out->max_tasks) || !r.done()) {
     return Malformed("Lease");
   }
   return Status::Ok();
@@ -563,77 +414,58 @@ Status DecodeLeaseRequest(const void* data, size_t size, LeaseRequest* out) {
 
 Status DecodeLeaseResponse(const void* data, size_t size,
                            LeaseResponse* out) {
-  Reader r(data, size);
+  ByteReader r(data, size);
   uint8_t status;
-  uint32_t count;
-  if (!r.U8(&status) || !r.U8(&out->drained) || !r.U32(&count)) {
-    return Malformed("LeaseResp");
-  }
-  if (static_cast<size_t>(count) * kMinCellBytes > r.left) {
-    return Malformed("LeaseResp cell count exceeds payload");
+  if (!r.U8(&status) || !r.U8(&out->drained) || !GetCells(&r, &out->cells)) {
+    return Malformed("LeaseResp cells");
   }
   out->status = static_cast<WireStatus>(status);
-  out->cells.clear();
-  out->cells.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    int32_t row, col;
-    if (!r.I32(&row) || !r.I32(&col)) return Malformed("LeaseResp cell");
-    out->cells.push_back(CellRef{row, col});
-  }
-  if (!r.Done()) return Malformed("LeaseResp trailing bytes");
+  if (!r.done()) return Malformed("LeaseResp trailing bytes");
   return Status::Ok();
 }
 
 Status DecodeSubmitBatchRequest(const void* data, size_t size,
                                 SubmitBatchRequest* out) {
-  Reader r(data, size);
+  ByteReader r(data, size);
   uint32_t count;
   if (!r.U64(&out->session) || !r.U32(&count)) {
     return Malformed("SubmitBatch");
   }
-  if (static_cast<size_t>(count) * kMinSubmitItemBytes > r.left) {
+  if (!r.Count(count, kMinSubmitItemBytes)) {
     return Malformed("SubmitBatch item count exceeds payload");
   }
-  out->items.clear();
-  out->items.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    int32_t row, col;
-    Value value;
-    if (!r.I32(&row) || !r.I32(&col) || !GetValue(&r, &value)) {
+  out->items.resize(count);
+  for (auto& [cell, value] : out->items) {
+    if (!r.Cell(&cell) || !GetValue(&r, &value)) {
       return Malformed("SubmitBatch item");
     }
-    out->items.emplace_back(CellRef{row, col}, value);
   }
-  if (!r.Done()) return Malformed("SubmitBatch trailing bytes");
+  if (!r.done()) return Malformed("SubmitBatch trailing bytes");
   return Status::Ok();
 }
 
 Status DecodeSubmitBatchResponse(const void* data, size_t size,
                                  SubmitBatchResponse* out) {
-  Reader r(data, size);
+  ByteReader r(data, size);
   uint8_t status;
   uint32_t count;
   if (!r.U8(&status) || !r.U32(&count)) return Malformed("SubmitBatchResp");
-  if (static_cast<size_t>(count) > r.left) {
+  if (!r.Count(count, 1)) {
     return Malformed("SubmitBatchResp status count exceeds payload");
   }
   out->status = static_cast<WireStatus>(status);
-  out->item_status.clear();
-  out->item_status.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    uint8_t st;
+  out->item_status.resize(count);
+  for (uint8_t& st : out->item_status) {
     if (!r.U8(&st)) return Malformed("SubmitBatchResp status");
-    out->item_status.push_back(st);
   }
-  if (!r.Done()) return Malformed("SubmitBatchResp trailing bytes");
+  if (!r.done()) return Malformed("SubmitBatchResp trailing bytes");
   return Status::Ok();
 }
 
 Status DecodeRetractRequest(const void* data, size_t size,
                             RetractRequest* out) {
-  Reader r(data, size);
-  if (!r.I32(&out->worker) || !r.I32(&out->cell.row) ||
-      !r.I32(&out->cell.col) || !r.Done()) {
+  ByteReader r(data, size);
+  if (!r.I32(&out->worker) || !r.Cell(&out->cell) || !r.done()) {
     return Malformed("Retract");
   }
   return Status::Ok();
@@ -641,55 +473,42 @@ Status DecodeRetractRequest(const void* data, size_t size,
 
 Status DecodeRetractResponse(const void* data, size_t size,
                              RetractResponse* out) {
-  Reader r(data, size);
-  uint8_t status;
-  if (!r.U8(&status) || !r.Done()) return Malformed("RetractResp");
-  out->status = static_cast<WireStatus>(status);
-  return Status::Ok();
+  return DecodeStatusOnly(data, size, "RetractResp", &out->status);
 }
 
 Status DecodeByeRequest(const void* data, size_t size, ByeRequest* out) {
-  Reader r(data, size);
-  if (!r.U64(&out->session) || !r.Done()) return Malformed("Bye");
+  ByteReader r(data, size);
+  if (!r.U64(&out->session) || !r.done()) return Malformed("Bye");
   return Status::Ok();
 }
 
 Status DecodeByeResponse(const void* data, size_t size, ByeResponse* out) {
-  Reader r(data, size);
-  uint8_t status;
-  if (!r.U8(&status) || !r.Done()) return Malformed("ByeResp");
-  out->status = static_cast<WireStatus>(status);
-  return Status::Ok();
+  return DecodeStatusOnly(data, size, "ByeResp", &out->status);
 }
 
-Status DecodeFinalizeRequest(const void* data, size_t size,
-                             FinalizeRequest*) {
-  Reader r(data, size);
-  if (!r.Done()) return Malformed("Finalize trailing bytes");
-  return Status::Ok();
+Status DecodeFinalizeRequest(const void*, size_t size, FinalizeRequest*) {
+  return DecodeEmpty(size, "Finalize trailing bytes");
 }
 
 Status DecodeFinalizeResponse(const void* data, size_t size,
                               FinalizeResponse* out) {
-  Reader r(data, size);
+  ByteReader r(data, size);
   uint8_t status;
   if (!r.U8(&status) || !r.U64(&out->digest) || !r.U64(&out->answer_count) ||
-      !r.Done()) {
+      !r.done()) {
     return Malformed("FinalizeResp");
   }
   out->status = static_cast<WireStatus>(status);
   return Status::Ok();
 }
 
-Status DecodeStatsRequest(const void* data, size_t size, StatsRequest*) {
-  Reader r(data, size);
-  if (!r.Done()) return Malformed("Stats trailing bytes");
-  return Status::Ok();
+Status DecodeStatsRequest(const void*, size_t size, StatsRequest*) {
+  return DecodeEmpty(size, "Stats trailing bytes");
 }
 
 Status DecodeStatsResponse(const void* data, size_t size,
                            StatsResponse* out) {
-  Reader r(data, size);
+  ByteReader r(data, size);
   uint8_t status;
   if (!r.U8(&status) || !r.U32(&out->tasks_open) ||
       !r.U32(&out->tasks_assigned) || !r.U32(&out->tasks_answered) ||
@@ -704,119 +523,43 @@ Status DecodeStatsResponse(const void* data, size_t size,
       !r.U64(&out->retry_later_total) || !r.U64(&out->write_queue_peak) ||
       !r.U64(&out->http_requests) || !r.U64(&out->frame_errors) ||
       !r.U64(&out->inflight_answers) || !r.U64(&out->inflight_budget) ||
-      !r.Done()) {
+      !r.done()) {
     return Malformed("StatsResp");
   }
   out->status = static_cast<WireStatus>(status);
   return Status::Ok();
 }
 
-Status DecodeShardDeltaRequest(const void* data, size_t size,
-                               ShardDeltaRequest* out) {
-  Reader r(data, size);
-  uint32_t seq_count, retract_count, block_len;
-  if (!r.U32(&out->shard) || !r.U64(&out->schema_fingerprint) ||
-      !r.U32(&seq_count)) {
-    return Malformed("ShardDelta");
-  }
-  if (static_cast<size_t>(seq_count) * 8 > r.left) {
-    return Malformed("ShardDelta seq count exceeds payload");
-  }
-  out->seqs.clear();
-  out->seqs.reserve(seq_count);
-  for (uint32_t i = 0; i < seq_count; ++i) {
-    uint64_t seq;
-    if (!r.U64(&seq)) return Malformed("ShardDelta seq");
-    out->seqs.push_back(seq);
-  }
-  if (!r.U32(&retract_count)) return Malformed("ShardDelta");
-  if (static_cast<size_t>(retract_count) * 8 > r.left) {
-    return Malformed("ShardDelta retraction count exceeds payload");
-  }
-  out->retracted_seqs.clear();
-  out->retracted_seqs.reserve(retract_count);
-  for (uint32_t i = 0; i < retract_count; ++i) {
-    uint64_t seq;
-    if (!r.U64(&seq)) return Malformed("ShardDelta retraction");
-    out->retracted_seqs.push_back(seq);
-  }
-  if (!r.U32(&block_len)) return Malformed("ShardDelta");
-  if (static_cast<size_t>(block_len) > r.left) {
-    return Malformed("ShardDelta block length exceeds payload");
-  }
-  out->block.assign(reinterpret_cast<const char*>(r.p), block_len);
-  r.p += block_len;
-  r.left -= block_len;
-  if (!r.Done()) return Malformed("ShardDelta trailing bytes");
-  return Status::Ok();
-}
-
-Status DecodeShardDeltaResponse(const void* data, size_t size,
-                                ShardDeltaResponse* out) {
-  Reader r(data, size);
-  uint8_t status;
-  if (!r.U8(&status) || !r.U64(&out->answers_applied) ||
-      !r.U64(&out->retractions_applied) || !r.Done()) {
-    return Malformed("ShardDeltaResp");
-  }
-  out->status = static_cast<WireStatus>(status);
-  return Status::Ok();
-}
-
-Status DecodeLogGatherRequest(const void* data, size_t size,
-                              LogGatherRequest*) {
-  Reader r(data, size);
-  if (!r.Done()) return Malformed("LogGather trailing bytes");
-  return Status::Ok();
+Status DecodeLogGatherRequest(const void*, size_t size, LogGatherRequest*) {
+  return DecodeEmpty(size, "LogGather trailing bytes");
 }
 
 Status DecodeLogGatherResponse(const void* data, size_t size,
                                LogGatherResponse* out) {
-  Reader r(data, size);
+  ByteReader r(data, size);
   uint8_t status;
-  uint32_t block_len;
-  if (!r.U8(&status) || !r.U64(&out->answer_count) || !r.U32(&block_len)) {
+  if (!r.U8(&status) || !r.U64(&out->answer_count) ||
+      !r.String(&out->block)) {
     return Malformed("LogGatherResp");
   }
-  if (static_cast<size_t>(block_len) > r.left) {
-    return Malformed("LogGatherResp block length exceeds payload");
-  }
   out->status = static_cast<WireStatus>(status);
-  out->block.assign(reinterpret_cast<const char*>(r.p), block_len);
-  r.p += block_len;
-  r.left -= block_len;
-  if (!r.Done()) return Malformed("LogGatherResp trailing bytes");
+  if (!r.done()) return Malformed("LogGatherResp trailing bytes");
   return Status::Ok();
 }
 
 Status DecodeApplyLeasesRequest(const void* data, size_t size,
                                 ApplyLeasesRequest* out) {
-  Reader r(data, size);
-  uint32_t count;
-  if (!r.U64(&out->session) || !r.U32(&count)) {
-    return Malformed("ApplyLeases");
+  ByteReader r(data, size);
+  if (!r.U64(&out->session) || !GetCells(&r, &out->cells)) {
+    return Malformed("ApplyLeases cells");
   }
-  if (static_cast<size_t>(count) * kMinCellBytes > r.left) {
-    return Malformed("ApplyLeases cell count exceeds payload");
-  }
-  out->cells.clear();
-  out->cells.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    int32_t row, col;
-    if (!r.I32(&row) || !r.I32(&col)) return Malformed("ApplyLeases cell");
-    out->cells.push_back(CellRef{row, col});
-  }
-  if (!r.Done()) return Malformed("ApplyLeases trailing bytes");
+  if (!r.done()) return Malformed("ApplyLeases trailing bytes");
   return Status::Ok();
 }
 
 Status DecodeApplyLeasesResponse(const void* data, size_t size,
                                  ApplyLeasesResponse* out) {
-  Reader r(data, size);
-  uint8_t status;
-  if (!r.U8(&status) || !r.Done()) return Malformed("ApplyLeasesResp");
-  out->status = static_cast<WireStatus>(status);
-  return Status::Ok();
+  return DecodeStatusOnly(data, size, "ApplyLeasesResp", &out->status);
 }
 
 // ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ namespace tcrowd::net {
 
 /// Wire protocol of the tcrowd_serverd front-end (docs/PROTOCOL.md). One
 /// frame per message, sharing the segment_codec/event_log framing
-/// discipline — little-endian fixed-width fields, magic ("TCNP"), an
-/// explicit version, a length prefix, and a trailing CRC-32 over everything
-/// before it:
+/// discipline and byte codec (data/byte_codec.h) — little-endian
+/// fixed-width fields, magic ("TCNP"), an explicit version, a length
+/// prefix, and a trailing CRC-32 over everything before it:
 ///
 ///   u32 magic "TCNP" | u8 version | u8 type | u32 payload_len |
 ///   payload bytes    | u32 crc
@@ -37,8 +37,7 @@ namespace tcrowd::net {
 /// traffic.
 inline constexpr uint32_t kProtocolVersion = 1;
 /// Version range this build understands. Version 2 added Hello min/max
-/// version negotiation and the inter-shard ShardDelta message kind
-/// (docs/SHARDING.md); version 3 added the router-to-shard-daemon kinds
+/// version negotiation; version 3 added the router-to-shard-daemon kinds
 /// LogGather and ApplyLeases (multi-process deployment, docs/SHARDING.md).
 /// A frame whose version is outside [min, max] — or a message kind wrapped
 /// in a frame older than the version that defines it — is
@@ -55,6 +54,8 @@ inline constexpr size_t kFrameHeaderBytes = 10;
 inline constexpr size_t kFrameTrailerBytes = 4;
 
 /// Request/response vocabulary. A response type is its request type | 0x80.
+/// 0x08/0x88 belong to a retired v2 kind: reserved, never reused, and
+/// decoded as an unknown message type (docs/PROTOCOL.md).
 enum class MsgType : uint8_t {
   kHello = 0x01,        ///< open a worker session
   kLease = 0x02,        ///< lease up to k tasks onto a session
@@ -63,7 +64,6 @@ enum class MsgType : uint8_t {
   kBye = 0x05,          ///< close a session (releases unanswered leases)
   kFinalize = 0x06,     ///< run the final batch-converged fit
   kStats = 0x07,        ///< service + network stats snapshot
-  kShardDelta = 0x08,   ///< v2: sealed-segment answer delta between shards
   kLogGather = 0x09,    ///< v3: gather the ordered live answer log
   kApplyLeases = 0x0a,  ///< v3: book recorded leases onto a session
 
@@ -74,7 +74,6 @@ enum class MsgType : uint8_t {
   kByeResp = 0x85,
   kFinalizeResp = 0x86,
   kStatsResp = 0x87,
-  kShardDeltaResp = 0x88,
   kLogGatherResp = 0x89,
   kApplyLeasesResp = 0x8a,
 };
@@ -82,9 +81,9 @@ enum class MsgType : uint8_t {
 const char* MsgTypeName(MsgType type);
 bool IsKnownMsgType(uint8_t type);
 /// Lowest frame version a message kind may travel in: 3 for
-/// LogGather/ApplyLeases, 2 for ShardDelta, 1 for everything else. A
-/// newer-only kind inside an older frame is a framing violation (the
-/// sender never negotiated the version that defines the message).
+/// LogGather/ApplyLeases, 1 for everything else. A newer-only kind inside
+/// an older frame is a framing violation (the sender never negotiated the
+/// version that defines the message).
 uint8_t MinProtocolVersionForMsgType(uint8_t type);
 
 /// Computes the version both ranges can speak: the highest version inside
@@ -240,33 +239,6 @@ struct StatsResponse {
   uint64_t inflight_budget = 0;
 };
 
-/// v2: one sealed-segment delta from a shard to a peer (sibling shard or
-/// standby replica, docs/SHARDING.md). The answers travel as ONE
-/// segment_codec answer block — the exact byte format of a durable segment
-/// file — with rows already remapped to GLOBAL coordinates, so the receiver
-/// needs no copy of the sender's partition map. `seqs` carries the global
-/// arrival sequence number of each answer in the block (same order, same
-/// count — enforced on apply), which is what lets a replica merge deltas
-/// from N shards back into the single global arrival order the merged
-/// Finalize fit runs in. `retracted_seqs` kills answers shipped by an
-/// earlier delta of the same shard.
-struct ShardDeltaRequest {
-  uint32_t shard = 0;
-  /// SchemaFingerprint(schema, num_rows) of the GLOBAL table; a replica
-  /// refuses a delta for a differently shaped world.
-  uint64_t schema_fingerprint = 0;
-  std::vector<uint64_t> seqs;
-  std::vector<uint64_t> retracted_seqs;
-  /// EncodeAnswerBlock bytes holding seqs.size() answers (global rows).
-  std::string block;
-};
-
-struct ShardDeltaResponse {
-  WireStatus status = WireStatus::kOk;
-  uint64_t answers_applied = 0;
-  uint64_t retractions_applied = 0;
-};
-
 /// v3: ask a shard daemon for its ordered live answer log — the router's
 /// Finalize seam (docs/SHARDING.md). The response carries the engine's
 /// answers in arrival order as ONE segment_codec answer block with the
@@ -318,11 +290,6 @@ void EncodeFinalizeRequest(const FinalizeRequest& msg, std::string* out);
 void EncodeFinalizeResponse(const FinalizeResponse& msg, std::string* out);
 void EncodeStatsRequest(const StatsRequest& msg, std::string* out);
 void EncodeStatsResponse(const StatsResponse& msg, std::string* out);
-/// ShardDelta frames always travel as protocol v2 (the kind does not exist
-/// in v1); send them only after Hello negotiated version >= 2.
-void EncodeShardDeltaRequest(const ShardDeltaRequest& msg, std::string* out);
-void EncodeShardDeltaResponse(const ShardDeltaResponse& msg,
-                              std::string* out);
 /// LogGather/ApplyLeases frames always travel as protocol v3 (the kinds do
 /// not exist earlier); send them only after Hello negotiated version >= 3.
 void EncodeLogGatherRequest(const LogGatherRequest& msg, std::string* out);
@@ -360,10 +327,6 @@ Status DecodeFinalizeResponse(const void* data, size_t size,
 Status DecodeStatsRequest(const void* data, size_t size, StatsRequest* out);
 Status DecodeStatsResponse(const void* data, size_t size,
                            StatsResponse* out);
-Status DecodeShardDeltaRequest(const void* data, size_t size,
-                               ShardDeltaRequest* out);
-Status DecodeShardDeltaResponse(const void* data, size_t size,
-                                ShardDeltaResponse* out);
 Status DecodeLogGatherRequest(const void* data, size_t size,
                               LogGatherRequest* out);
 Status DecodeLogGatherResponse(const void* data, size_t size,

@@ -368,26 +368,6 @@ bool Server::Dispatch(Connection* conn, const Frame& frame) {
       EncodeLogGatherResponse(out, &resp);
       break;
     }
-    case MsgType::kShardDelta: {
-      ShardDeltaRequest req;
-      if (!DecodeShardDeltaRequest(p.data(), p.size(), &req).ok()) {
-        return false;
-      }
-      ShardDeltaResponse out;
-      if (conn->negotiated_version < 2 || !options_.shard_delta_handler) {
-        // Either the peer never negotiated v2 or this server has no
-        // replica role; answer instead of dropping so the sender can tell
-        // refusal from corruption.
-        out.status = WireStatus::kFailedPrecondition;
-      } else {
-        Status st = options_.shard_delta_handler(req, &out);
-        if (!st.ok() && out.status == WireStatus::kOk) {
-          out.status = WireStatusFromCode(st.code());
-        }
-      }
-      EncodeShardDeltaResponse(out, &resp);
-      break;
-    }
     default:
       // Response types are valid frames but nonsensical as requests.
       return false;

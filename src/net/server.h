@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -37,13 +36,6 @@ struct ServerOptions {
   /// Fairness: max frames served per connection per event-loop wake, so a
   /// flooding connection with a full read buffer cannot starve its peers.
   int max_frames_per_wake = 16;
-  /// v2 inter-shard replication hook (docs/SHARDING.md): when set, a
-  /// ShardDelta frame arriving on a connection that negotiated protocol
-  /// version >= 2 is handed here (e.g. into a service::StandbyReplica).
-  /// Unset, or on a v1 connection, the request is answered with
-  /// FAILED_PRECONDITION instead of being dropped.
-  std::function<Status(const ShardDeltaRequest&, ShardDeltaResponse*)>
-      shard_delta_handler;
 };
 
 /// Counters the event loop maintains; exported via Stats responses and

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "data/byte_codec.h"
 
 namespace tcrowd {
 namespace {
@@ -13,234 +14,47 @@ namespace {
 // the snapshot readers and vice versa.
 constexpr uint32_t kEventMagic = 0x56454354;
 
-// Smallest per-answer / per-cell encodings: used to sanity-bound decoded
-// counts before any allocation (same defense as the segment codec).
-constexpr size_t kMinAnswerBytes = 3 * 4 + 1;
-constexpr size_t kMinCellBytes = 2 * 4;
-
-// --------------------------------------------------------------------------
-// Little-endian primitives, mirroring segment_codec.cc. They are duplicated
-// (not shared) on purpose: the two codecs version independently and the
-// helpers are the stable, trivial part.
-
-void PutU8(uint8_t v, std::string* out) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU32(uint32_t v, std::string* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(uint64_t v, std::string* out) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutI32(int32_t v, std::string* out) {
-  PutU32(static_cast<uint32_t>(v), out);
-}
-
-void PutDouble(double v, std::string* out) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v), "IEEE-754 double expected");
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(bits, out);
-}
-
-void PutString(const std::string& s, std::string* out) {
-  PutU32(static_cast<uint32_t>(s.size()), out);
-  out->append(s);
-}
-
-struct Reader {
-  const uint8_t* p;
-  size_t left;
-
-  Reader(const void* data, size_t size)
-      : p(static_cast<const uint8_t*>(data)), left(size) {}
-
-  bool U8(uint8_t* v) {
-    if (left < 1) return false;
-    *v = p[0];
-    ++p;
-    --left;
-    return true;
-  }
-  bool U32(uint32_t* v) {
-    if (left < 4) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) *v |= static_cast<uint32_t>(p[i]) << (8 * i);
-    p += 4;
-    left -= 4;
-    return true;
-  }
-  bool U64(uint64_t* v) {
-    if (left < 8) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) *v |= static_cast<uint64_t>(p[i]) << (8 * i);
-    p += 8;
-    left -= 8;
-    return true;
-  }
-  bool I32(int32_t* v) {
-    uint32_t u;
-    if (!U32(&u)) return false;
-    *v = static_cast<int32_t>(u);
-    return true;
-  }
-  bool Double(double* v) {
-    uint64_t bits;
-    if (!U64(&bits)) return false;
-    std::memcpy(v, &bits, sizeof(*v));
-    return true;
-  }
-  bool Str(std::string* out) {
-    uint32_t n;
-    if (!U32(&n) || left < n) return false;
-    out->assign(reinterpret_cast<const char*>(p), n);
-    p += n;
-    left -= n;
-    return true;
-  }
-};
-
-// Value kind tags, same values as the segment codec's.
-constexpr uint8_t kKindCategorical = 0;
-constexpr uint8_t kKindContinuous = 1;
-constexpr uint8_t kKindMissing = 2;
-
-void PutValue(const Value& v, std::string* out) {
-  if (v.is_categorical()) {
-    PutU8(kKindCategorical, out);
-    PutI32(v.label(), out);
-  } else if (v.is_continuous()) {
-    PutU8(kKindContinuous, out);
-    PutDouble(v.number(), out);
-  } else {
-    PutU8(kKindMissing, out);
-  }
-}
-
-bool GetValue(Reader* r, Value* v) {
-  uint8_t kind;
-  if (!r->U8(&kind)) return false;
-  if (kind == kKindCategorical) {
-    int32_t label;
-    if (!r->I32(&label)) return false;
-    *v = Value::Categorical(label);
-  } else if (kind == kKindContinuous) {
-    double number;
-    if (!r->Double(&number)) return false;
-    *v = Value::Continuous(number);
-  } else if (kind == kKindMissing) {
-    *v = Value();
-  } else {
-    return false;  // unknown kind tag: corrupt
-  }
-  return true;
-}
-
-void PutAnswer(const Answer& a, std::string* out) {
-  PutI32(a.worker, out);
-  PutI32(a.cell.row, out);
-  PutI32(a.cell.col, out);
-  PutValue(a.value, out);
-}
-
-bool GetAnswer(Reader* r, Answer* a) {
-  int32_t worker, row, col;
-  if (!r->I32(&worker) || !r->I32(&row) || !r->I32(&col)) return false;
-  a->worker = worker;
-  a->cell = CellRef{row, col};
-  return GetValue(r, &a->value);
-}
-
-// Crc32 lives in segment_codec; re-declaring it here would drag the
-// inference module into the platform layer's headers, so the event log
-// carries its own identical implementation.
-uint32_t EventCrc32(const void* data, size_t n) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  uint32_t crc = ~0u;
-  for (size_t i = 0; i < n; ++i) {
-    crc ^= p[i];
-    for (int b = 0; b < 8; ++b) {
-      crc = (crc >> 1) ^ (0xedb88320u & (~(crc & 1u) + 1u));
-    }
-  }
-  return ~crc;
-}
-
-bool GetEventPayload(Reader* r, EventType type, RecordedEvent* e) {
+bool GetEventPayload(ByteReader* r, EventType type, RecordedEvent* e) {
   e->type = type;
   switch (type) {
     case EventType::kRunStart: {
       uint64_t count;
-      if (!r->U64(&e->seed) || !r->Str(&e->policy) || !r->Str(&e->world) ||
-          !r->U64(&e->schema_fingerprint) || !r->U32(&e->num_rows) ||
-          !r->U64(&count)) {
-        return false;
-      }
-      if (count > r->left / kMinAnswerBytes + 1) return false;
-      e->restored.reserve(static_cast<size_t>(count));
-      for (uint64_t k = 0; k < count; ++k) {
-        Answer a;
-        if (!GetAnswer(r, &a)) return false;
-        e->restored.push_back(a);
-      }
-      return true;
+      return r->U64(&e->seed) && r->String(&e->policy) &&
+             r->String(&e->world) && r->U64(&e->schema_fingerprint) &&
+             r->U32(&e->num_rows) && r->U64(&count) &&
+             GetAnswers(r, count, &e->restored);
     }
     case EventType::kSessionStart:
       return r->U64(&e->session) && r->I32(&e->worker);
-    case EventType::kLeases: {
-      uint32_t count;
-      if (!r->U64(&e->session) || !r->U32(&count)) return false;
-      if (count > r->left / kMinCellBytes + 1) return false;
-      e->cells.reserve(count);
-      for (uint32_t k = 0; k < count; ++k) {
-        int32_t row, col;
-        if (!r->I32(&row) || !r->I32(&col)) return false;
-        e->cells.push_back(CellRef{row, col});
-      }
-      return true;
-    }
+    case EventType::kLeases:
+      return r->U64(&e->session) && GetCells(r, &e->cells);
     case EventType::kAnswerBatch: {
       uint32_t count;
-      if (!r->U64(&e->session) || !r->U32(&count)) return false;
-      if (count > r->left / (kMinCellBytes + 2) + 1) return false;
-      e->items.reserve(count);
-      for (uint32_t k = 0; k < count; ++k) {
-        AnswerEventItem item;
-        if (!r->I32(&item.cell.row) || !r->I32(&item.cell.col) ||
-            !GetValue(r, &item.value) || !r->U8(&item.status_code)) {
-          return false;
-        }
-        e->items.push_back(std::move(item));
-      }
-      return true;
-    }
-    case EventType::kRetract: {
-      int32_t row, col;
-      if (!r->I32(&e->worker) || !r->I32(&row) || !r->I32(&col) ||
-          !r->U8(&e->status_code)) {
+      if (!r->U64(&e->session) || !r->U32(&count) ||
+          !r->Count(count, kMinCellBytes + kMinValueBytes + 1)) {
         return false;
       }
-      e->cells.push_back(CellRef{row, col});
+      e->items.resize(count);
+      for (AnswerEventItem& item : e->items) {
+        if (!r->Cell(&item.cell) || !GetValue(r, &item.value) ||
+            !r->U8(&item.status_code)) {
+          return false;
+        }
+      }
       return true;
     }
+    case EventType::kRetract:
+      e->cells.resize(1);
+      return r->I32(&e->worker) && r->Cell(&e->cells[0]) &&
+             r->U8(&e->status_code);
     case EventType::kSessionEnd:
       return r->U64(&e->session);
     case EventType::kSessionsExpired: {
       uint32_t count;
-      if (!r->U32(&count)) return false;
-      if (count > r->left / 8 + 1) return false;
-      e->expired.reserve(count);
-      for (uint32_t k = 0; k < count; ++k) {
-        uint64_t id;
+      if (!r->U32(&count) || !r->Count(count, 8)) return false;
+      e->expired.resize(count);
+      for (uint64_t& id : e->expired) {
         if (!r->U64(&id)) return false;
-        e->expired.push_back(id);
       }
       return true;
     }
@@ -290,26 +104,20 @@ void EncodeEvent(const RecordedEvent& event, std::string* out) {
       break;
     case EventType::kLeases:
       PutU64(event.session, out);
-      PutU32(static_cast<uint32_t>(event.cells.size()), out);
-      for (const CellRef& cell : event.cells) {
-        PutI32(cell.row, out);
-        PutI32(cell.col, out);
-      }
+      PutCells(event.cells, out);
       break;
     case EventType::kAnswerBatch:
       PutU64(event.session, out);
       PutU32(static_cast<uint32_t>(event.items.size()), out);
       for (const AnswerEventItem& item : event.items) {
-        PutI32(item.cell.row, out);
-        PutI32(item.cell.col, out);
+        PutCell(item.cell, out);
         PutValue(item.value, out);
         PutU8(item.status_code, out);
       }
       break;
     case EventType::kRetract:
       PutI32(event.worker, out);
-      PutI32(event.cells.empty() ? 0 : event.cells[0].row, out);
-      PutI32(event.cells.empty() ? 0 : event.cells[0].col, out);
+      PutCell(event.cells.empty() ? CellRef{0, 0} : event.cells[0], out);
       PutU8(event.status_code, out);
       break;
     case EventType::kSessionEnd:
@@ -327,7 +135,7 @@ void EncodeEvent(const RecordedEvent& event, std::string* out) {
       PutU64(event.answer_count, out);
       break;
   }
-  PutU32(EventCrc32(out->data() + start, out->size() - start), out);
+  PutCrc32Since(start, out);
 }
 
 Status DecodeEventLog(const void* data, size_t size, EventLogReplay* out) {
@@ -336,7 +144,7 @@ Status DecodeEventLog(const void* data, size_t size, EventLogReplay* out) {
   out->events.clear();
   out->truncated = false;
   while (offset < size) {
-    Reader r(base + offset, size - offset);
+    ByteReader r(base + offset, size - offset);
     uint32_t magic, version;
     uint8_t type;
     if (!r.U32(&magic) || magic != kEventMagic || !r.U32(&version) ||
@@ -350,32 +158,22 @@ Status DecodeEventLog(const void* data, size_t size, EventLogReplay* out) {
       out->truncated = true;
       return Status::Ok();
     }
-    size_t crc_offset = (size - offset) - r.left;
+    const uint32_t crc = r.ConsumedCrc32();
     uint32_t stored;
-    if (!r.U32(&stored) || stored != EventCrc32(base + offset, crc_offset)) {
+    if (!r.U32(&stored) || stored != crc) {
       out->truncated = true;
       return Status::Ok();
     }
     out->events.push_back(std::move(event));
-    offset += crc_offset + 4;
+    offset += r.consumed();
   }
   return Status::Ok();
 }
 
 Status ReadEventLogFile(const std::string& path, EventLogReplay* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IoError("cannot open event log " + path);
-  }
   std::string bytes;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, n);
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    return Status::IoError("cannot read event log " + path);
-  }
+  Status st = ReadFileBytes(path, &bytes);
+  if (!st.ok()) return st;
   return DecodeEventLog(bytes.data(), bytes.size(), out);
 }
 
@@ -393,16 +191,16 @@ uint64_t TruthDigest(const Table& table) {
     for (int j = 0; j < table.num_columns(); ++j) {
       const Value& v = table.at(i, j);
       if (v.is_categorical()) {
-        mix(kKindCategorical);
+        mix(kValueCategorical);
         mix(static_cast<uint64_t>(static_cast<int64_t>(v.label())));
       } else if (v.is_continuous()) {
         uint64_t bits;
         double d = v.number();
         std::memcpy(&bits, &d, sizeof(bits));
-        mix(kKindContinuous);
+        mix(kValueContinuous);
         mix(bits);
       } else {
-        mix(kKindMissing);
+        mix(kValueMissing);
       }
     }
   }

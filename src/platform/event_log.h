@@ -15,9 +15,10 @@
 namespace tcrowd {
 
 /// Deterministic event log for record/replay (see docs/OBSERVABILITY.md).
-/// Shares the segment_codec framing discipline: every event is one frame —
-/// little-endian magic ("TCEV") + version + type byte + payload + trailing
-/// CRC-32 over everything before it. The reader is lenient like the
+/// Shares the segment_codec framing discipline and byte codec
+/// (data/byte_codec.h): every event is one frame — little-endian magic
+/// ("TCEV") + version + type byte + payload + trailing CRC-32 over
+/// everything before it. The reader is lenient like the
 /// journal's: a torn or corrupt frame ends decoding at the last whole
 /// event (prefix recovery), because a crash mid-record is a supported case.
 ///

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "inference/segment_codec.h"
 
 namespace tcrowd::service {
 
@@ -51,18 +50,13 @@ ShardRouter::ShardRouter(const Schema& schema, int num_rows,
                          ShardRouterConfig config)
     : schema_(schema),
       num_rows_(num_rows),
-      config_(std::move(config)),
-      fingerprint_(SchemaFingerprint(schema, num_rows)),
-      metrics_(),
-      deltas_shipped_(&metrics_.counter("router.deltas_shipped")),
-      delta_answers_shipped_(&metrics_.counter("router.delta_answers")) {
+      config_(std::move(config)) {
   TCROWD_CHECK(config_.num_shards >= 1);
   TCROWD_CHECK(config_.num_shards <= num_rows_);
   TCROWD_CHECK(static_cast<bool>(config_.policy_factory) ||
                static_cast<bool>(config_.backend_factory));
   ranges_ = PartitionRows(num_rows_, config_.num_shards);
   ledgers_.resize(static_cast<size_t>(config_.num_shards));
-  retracted_since_push_.resize(static_cast<size_t>(config_.num_shards));
   shards_.resize(static_cast<size_t>(config_.num_shards));
   for (int i = 0; i < config_.num_shards; ++i) {
     shards_[i] = MakeBackend(i);
@@ -238,7 +232,6 @@ Status ShardRouter::RetractAnswer(WorkerId worker, CellRef cell) {
     if (rit->live && rit->answer.worker == worker &&
         rit->answer.cell == cell) {
       rit->live = false;
-      if (rit->shipped) retracted_since_push_[s].push_back(rit->seq);
       return st;
     }
   }
@@ -391,41 +384,6 @@ uint64_t ShardRouter::num_answers() {
   return total;
 }
 
-Status ShardRouter::PushDeltas() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!config_.delta_sink) return Status::Ok();
-  for (int s = 0; s < config_.num_shards; ++s) {
-    std::vector<SeqEntry*> fresh;
-    for (auto& entry : ledgers_[s]) {
-      if (!entry.shipped && entry.live) fresh.push_back(&entry);
-    }
-    if (fresh.empty() && retracted_since_push_[s].empty()) continue;
-    net::ShardDeltaRequest req;
-    req.shard = static_cast<uint32_t>(s);
-    req.schema_fingerprint = fingerprint_;
-    std::vector<Answer> answers;
-    answers.reserve(fresh.size());
-    for (SeqEntry* entry : fresh) {
-      req.seqs.push_back(entry->seq);
-      answers.push_back(entry->answer);  // global rows on the wire
-    }
-    req.retracted_seqs = retracted_since_push_[s];
-    EncodeAnswerBlock(answers.data(), answers.size(), &req.block);
-    Status st = config_.delta_sink(req);
-    if (!st.ok()) return st;  // everything stays pending for the next push
-    for (SeqEntry* entry : fresh) entry->shipped = true;
-    // Entries retracted before ever shipping need no tombstone on the wire;
-    // mark them shipped so they stop being rescanned.
-    for (auto& entry : ledgers_[s]) {
-      if (!entry.live) entry.shipped = true;
-    }
-    retracted_since_push_[s].clear();
-    deltas_shipped_->Increment();
-    delta_answers_shipped_->Increment(static_cast<int64_t>(answers.size()));
-  }
-  return Status::Ok();
-}
-
 std::vector<Answer> ShardRouter::GatherMergedLogLocked() {
   // Gather each SHARD's live answer log (not the router's copy) so a
   // restored shard proves its disk state — via GatherLog, which is a
@@ -472,10 +430,6 @@ std::vector<Answer> ShardRouter::GatherAnswerLog() {
 }
 
 InferenceResult ShardRouter::Finalize() {
-  // Bring a standby current before computing the digest it must match. A
-  // sink failure leaves deltas pending but never blocks finalization.
-  PushDeltas();
-
   std::lock_guard<std::mutex> lock(mu_);
   // One fresh engine over the seq-ordered merged log: the engine Finalize
   // contract (bit-identical to a batch fit over the same log) is what makes
@@ -531,87 +485,6 @@ Status ShardRouter::RestoreShardLocked(int i) {
     session.sub[i] = shards_[i]->StartSession(session.worker);
   }
   return Status::Ok();
-}
-
-// ---------------------------------------------------------------------------
-// StandbyReplica.
-
-StandbyReplica::StandbyReplica(const Schema& schema, int num_rows)
-    : schema_(schema),
-      num_rows_(num_rows),
-      fingerprint_(SchemaFingerprint(schema, num_rows)) {}
-
-Status StandbyReplica::Apply(const net::ShardDeltaRequest& delta) {
-  if (delta.schema_fingerprint != fingerprint_) {
-    return Status::FailedPrecondition(
-        "delta fingerprint does not match the standby's table");
-  }
-  std::vector<Answer> answers;
-  Status st = DecodeAnswerBlock(delta.block.data(), delta.block.size(),
-                                &answers);
-  if (!st.ok()) return st;
-  if (answers.size() != delta.seqs.size()) {
-    return Status::InvalidArgument(
-        "delta seq count does not match its answer block");
-  }
-  for (const Answer& answer : answers) {
-    if (answer.cell.row < 0 || answer.cell.row >= num_rows_ ||
-        answer.cell.col < 0 || answer.cell.col >= schema_.num_columns()) {
-      return Status::InvalidArgument("delta answer outside the table");
-    }
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 0; i < answers.size(); ++i) {
-    uint64_t seq = delta.seqs[i];
-    if (early_tombstones_.count(seq)) continue;  // retraction already won
-    answers_[seq] = answers[i];
-  }
-  for (uint64_t seq : delta.retracted_seqs) {
-    if (answers_.erase(seq) == 0) early_tombstones_[seq] = true;
-  }
-  ++deltas_applied_;
-  return Status::Ok();
-}
-
-Status StandbyReplica::ApplyFrame(const void* data, size_t size) {
-  net::FrameDecoder decoder;
-  decoder.Feed(data, size);
-  net::Frame frame;
-  std::string error;
-  if (decoder.Next(&frame, &error) != net::FrameDecoder::Result::kFrame) {
-    return Status::InvalidArgument("not a whole TCNP frame: " + error);
-  }
-  if (frame.type != net::MsgType::kShardDelta) {
-    return Status::InvalidArgument("frame is not a shard delta");
-  }
-  net::ShardDeltaRequest delta;
-  Status st = net::DecodeShardDeltaRequest(frame.payload.data(),
-                                           frame.payload.size(), &delta);
-  if (!st.ok()) return st;
-  return Apply(delta);
-}
-
-size_t StandbyReplica::live_answers() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return answers_.size();
-}
-
-uint64_t StandbyReplica::deltas_applied() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return deltas_applied_;
-}
-
-InferenceResult StandbyReplica::Finalize(const InferenceArgs& args) {
-  std::vector<Answer> ordered;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ordered.reserve(answers_.size());
-    for (const auto& [seq, answer] : answers_) ordered.push_back(answer);
-  }
-  IncrementalInferenceEngine engine(schema_, num_rows_, MergeEngineArgs(args),
-                                    nullptr);
-  engine.SubmitAnswerBatch(ordered.data(), ordered.size());
-  return engine.Finalize();
 }
 
 }  // namespace tcrowd::service

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -11,7 +10,6 @@
 #include <vector>
 
 #include "assignment/policy.h"
-#include "net/protocol.h"
 #include "service/crowd_service.h"
 #include "service/shard_backend.h"
 
@@ -55,12 +53,6 @@ struct ShardRouterConfig {
   /// restarted from its snapshot dir rejoins on the next touch without
   /// restarting the router (whose in-memory arrival ledger must survive).
   bool auto_restore = false;
-  /// Optional sealed-delta sink: PushDeltas() hands every newly shipped
-  /// per-shard delta (global-row answer block + seqs, wire layout of
-  /// net::ShardDeltaRequest) to this callback — an in-process
-  /// StandbyReplica, or a net::Client::ShardDelta call to a standby
-  /// server. A non-OK return leaves the delta unshipped for the next push.
-  std::function<Status(const net::ShardDeltaRequest&)> delta_sink;
 };
 
 /// Multi-shard serving tier: partitions the table across N shards — each a
@@ -138,16 +130,6 @@ class ShardRouter : public ServingBackend {
   }
   /// Shard `i`'s backend; null while crashed.
   ShardBackend* backend(int i) { return shards_[i].get(); }
-  /// Global-table fingerprint stamped on every shipped delta.
-  uint64_t global_fingerprint() const { return fingerprint_; }
-
-  /// Ships every not-yet-shipped accepted answer (and every retraction of
-  /// an already-shipped one) to the delta sink, one net::ShardDeltaRequest
-  /// per shard with pending work. No-op without a sink. Returns the first
-  /// sink error (those deltas stay pending). Finalize() pushes implicitly
-  /// so a standby is current at the digest point.
-  Status PushDeltas();
-
   /// Fault-injection seam: tears down shard `i`'s backend (its snapshot
   /// directory — or remote daemon — survives). Requests routed to a downed
   /// shard fail with FailedPrecondition; leases spread over the remaining
@@ -163,13 +145,12 @@ class ShardRouter : public ServingBackend {
 
  private:
   /// One accepted answer's ledger entry: its global arrival seq, the
-  /// answer with GLOBAL row coordinates, liveness (retraction clears it),
-  /// and whether a delta already shipped it.
+  /// answer with GLOBAL row coordinates, and liveness (retraction clears
+  /// it).
   struct SeqEntry {
     uint64_t seq = 0;
     Answer answer;
     bool live = true;
-    bool shipped = false;
   };
   struct GlobalSession {
     WorkerId worker = -1;
@@ -205,13 +186,10 @@ class ShardRouter : public ServingBackend {
   const Schema schema_;
   const int num_rows_;
   ShardRouterConfig config_;
-  uint64_t fingerprint_ = 0;
   std::vector<ShardRange> ranges_;
   std::vector<std::unique_ptr<ShardBackend>> shards_;
 
   MetricsRegistry metrics_;
-  Counter* deltas_shipped_;
-  Counter* delta_answers_shipped_;
 
   mutable std::mutex mu_;
   std::unordered_map<SessionId, GlobalSession> sessions_;
@@ -224,47 +202,9 @@ class ShardRouter : public ServingBackend {
   /// engine's answer log (retraction clears the NEWEST live matching
   /// entry, mirroring engine semantics).
   std::vector<std::vector<SeqEntry>> ledgers_;
-  /// Per shard: seqs retracted AFTER they shipped (next delta carries the
-  /// tombstone). Retractions of never-shipped entries just drop them.
-  std::vector<std::vector<uint64_t>> retracted_since_push_;
   /// Rotates the shard a RequestTasks fan-out starts at, spreading lease
   /// pressure across shards.
   size_t spread_cursor_ = 0;
-};
-
-/// Warm standby fed by ShardRouter deltas: accumulates the global live
-/// answer set (seq-keyed, so retraction tombstones and out-of-order shard
-/// pushes land correctly) and can batch-fit it into the same final truth
-/// the primary's merged Finalize produces (digest-identical when it has
-/// seen every delta). Apply/ApplyFrame are what a standby server's
-/// ServerOptions::shard_delta_handler plugs into.
-class StandbyReplica {
- public:
-  StandbyReplica(const Schema& schema, int num_rows);
-
-  /// Applies one delta: fingerprint must match the standby's table shape
-  /// (FailedPrecondition), the block's answer count must equal the seq
-  /// count (InvalidArgument). Idempotent per seq; retractions may precede
-  /// their answer (the tombstone wins).
-  Status Apply(const net::ShardDeltaRequest& delta);
-  /// Decodes one whole TCNP kShardDelta frame, then Apply().
-  Status ApplyFrame(const void* data, size_t size);
-
-  size_t live_answers() const;
-  uint64_t deltas_applied() const;
-  /// Batch-fits the accumulated live set in seq order with a fresh engine.
-  InferenceResult Finalize(const InferenceArgs& args);
-
- private:
-  const Schema schema_;
-  const int num_rows_;
-  uint64_t fingerprint_ = 0;
-
-  mutable std::mutex mu_;
-  std::map<uint64_t, Answer> answers_;  ///< seq -> live answer (global rows)
-  /// Seqs retracted before their answer arrived (tombstone wins on apply).
-  std::map<uint64_t, bool> early_tombstones_;
-  uint64_t deltas_applied_ = 0;
 };
 
 }  // namespace tcrowd::service

@@ -1,35 +1,12 @@
 #include "service/snapshot_inspect.h"
 
-#include <cstdio>
-
 #include "common/string_util.h"
 #include "data/answer.h"
+#include "data/byte_codec.h"
 #include "inference/segment_codec.h"
 
 namespace tcrowd::service {
 namespace {
-
-/// Reads a whole file into `*out`. Distinct from SnapshotStore's file-local
-/// reader on purpose: inspection must not depend on the store's Open
-/// preconditions (it reads directories the store would refuse).
-Status ReadFileBytes(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IoError(StrFormat("cannot open %s", path.c_str()));
-  }
-  out->clear();
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
-    out->append(buf, n);
-  }
-  const bool bad = std::ferror(f) != 0;
-  std::fclose(f);
-  if (bad) {
-    return Status::IoError(StrFormat("read error on %s", path.c_str()));
-  }
-  return Status::Ok();
-}
 
 void InspectSegment(const std::string& directory,
                     const ManifestSegment& entry, SegmentInspection* out) {

@@ -13,6 +13,7 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "data/byte_codec.h"
 #include "platform/trace.h"
 
 namespace tcrowd::service {
@@ -41,24 +42,6 @@ size_t ParseSegmentIndex(const std::string& name) {
   if (!IsSegmentFileName(name)) return 0;
   return static_cast<size_t>(
       std::strtoull(name.c_str() + 4, nullptr, 10));
-}
-
-Status ReadFileBytes(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IoError(
-        StrFormat("cannot open %s: %s", path.c_str(), std::strerror(errno)));
-  }
-  out->clear();
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out->append(buf, n);
-  bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    return Status::IoError(StrFormat("read error on %s", path.c_str()));
-  }
-  return Status::Ok();
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "assignment/policies.h"
+#include "data/byte_codec.h"
 #include "inference/segment_codec.h"
 #include "inference/tcrowd_model.h"
 #include "service/crowd_service.h"
@@ -468,10 +469,8 @@ TEST(CheckpointRecovery, FormatVersionMismatchIsRefused) {
   std::string manifest_path = (fs::path(dir) / "MANIFEST").string();
   std::string bytes = ReadFile(manifest_path);
   bytes[4] = static_cast<char>(kSegmentCodecVersion + 1);
-  uint32_t crc = Crc32(bytes.data(), bytes.size() - 4);
-  for (int i = 0; i < 4; ++i) {
-    bytes[bytes.size() - 4 + i] = static_cast<char>((crc >> (8 * i)) & 0xff);
-  }
+  bytes.resize(bytes.size() - 4);
+  PutCrc32Since(0, &bytes);
   WriteFile(manifest_path, bytes);
 
   IncrementalInferenceEngine engine(schema, 10, DurableSyncArgs(dir),

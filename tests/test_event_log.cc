@@ -8,9 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -21,24 +19,6 @@
 
 namespace tcrowd {
 namespace {
-
-bool SameBits(double a, double b) {
-  uint64_t ba, bb;
-  std::memcpy(&ba, &a, sizeof(ba));
-  std::memcpy(&bb, &b, sizeof(bb));
-  return ba == bb;
-}
-
-void ExpectValuesEqual(const Value& a, const Value& b, const char* what) {
-  ASSERT_EQ(a.valid(), b.valid()) << what;
-  if (!a.valid()) return;
-  ASSERT_EQ(a.is_categorical(), b.is_categorical()) << what;
-  if (a.is_categorical()) {
-    EXPECT_EQ(a.label(), b.label()) << what;
-  } else {
-    EXPECT_TRUE(SameBits(a.number(), b.number())) << what;
-  }
-}
 
 /// One of every event type, with awkward payloads (NaN, -0.0, denormals,
 /// empty strings, missing values) — the full vocabulary in one log.
@@ -130,13 +110,7 @@ void ExpectEventsEqual(const RecordedEvent& a, const RecordedEvent& b) {
   EXPECT_EQ(a.world, b.world);
   EXPECT_EQ(a.schema_fingerprint, b.schema_fingerprint);
   EXPECT_EQ(a.num_rows, b.num_rows);
-  ASSERT_EQ(a.restored.size(), b.restored.size());
-  for (size_t k = 0; k < a.restored.size(); ++k) {
-    EXPECT_EQ(a.restored[k].worker, b.restored[k].worker);
-    EXPECT_EQ(a.restored[k].cell.row, b.restored[k].cell.row);
-    EXPECT_EQ(a.restored[k].cell.col, b.restored[k].cell.col);
-    ExpectValuesEqual(a.restored[k].value, b.restored[k].value, "restored");
-  }
+  testing::ExpectSameAnswers(a.restored, b.restored);
   EXPECT_EQ(a.session, b.session);
   EXPECT_EQ(a.worker, b.worker);
   ASSERT_EQ(a.cells.size(), b.cells.size());
@@ -149,7 +123,7 @@ void ExpectEventsEqual(const RecordedEvent& a, const RecordedEvent& b) {
     EXPECT_EQ(a.items[k].cell.row, b.items[k].cell.row);
     EXPECT_EQ(a.items[k].cell.col, b.items[k].cell.col);
     EXPECT_EQ(a.items[k].status_code, b.items[k].status_code);
-    ExpectValuesEqual(a.items[k].value, b.items[k].value, "item");
+    testing::ExpectSameValue(a.items[k].value, b.items[k].value);
   }
   EXPECT_EQ(a.status_code, b.status_code);
   EXPECT_EQ(a.expired, b.expired);

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
@@ -207,6 +209,40 @@ inline void RunCleanPrefixFuzz(
         << what << ": cut at " << cut;
     EXPECT_EQ(replay.truncated, !at_boundary) << what << ": cut at " << cut;
     EXPECT_EQ(replay.items, whole) << what << ": cut at " << cut;
+  }
+}
+
+/// Bit-pattern equality: the one comparison the durability and wire
+/// guarantees are made of (NaNs and signed zeros included).
+inline bool SameBits(double a, double b) {
+  uint64_t ba, bb;
+  std::memcpy(&ba, &a, sizeof(ba));
+  std::memcpy(&bb, &b, sizeof(bb));
+  return ba == bb;
+}
+
+/// Expects two values equal, continuous ones down to the bit pattern.
+inline void ExpectSameValue(const Value& a, const Value& b) {
+  ASSERT_EQ(a.valid(), b.valid());
+  if (!a.valid()) return;
+  ASSERT_EQ(a.is_categorical(), b.is_categorical());
+  if (a.is_categorical()) {
+    EXPECT_EQ(a.label(), b.label());
+  } else {
+    EXPECT_TRUE(SameBits(a.number(), b.number()));
+  }
+}
+
+/// Expects two answer lists equal, values bit-exact.
+inline void ExpectSameAnswers(const std::vector<Answer>& a,
+                              const std::vector<Answer>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t k = 0; k < a.size(); ++k) {
+    SCOPED_TRACE(::testing::Message() << "answer " << k);
+    EXPECT_EQ(a[k].worker, b[k].worker);
+    EXPECT_EQ(a[k].cell.row, b[k].cell.row);
+    EXPECT_EQ(a[k].cell.col, b[k].cell.col);
+    ExpectSameValue(a[k].value, b[k].value);
   }
 }
 

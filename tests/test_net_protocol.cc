@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -16,44 +15,12 @@
 #include <vector>
 
 #include "data/answer.h"
+#include "data/byte_codec.h"
 #include "inference/segment_codec.h"
 #include "test_helpers.h"
 
 namespace tcrowd::net {
 namespace {
-
-bool SameBits(double a, double b) {
-  uint64_t ba, bb;
-  std::memcpy(&ba, &a, sizeof(ba));
-  std::memcpy(&bb, &b, sizeof(bb));
-  return ba == bb;
-}
-
-void ExpectValuesEqual(const Value& a, const Value& b) {
-  ASSERT_EQ(a.valid(), b.valid());
-  if (!a.valid()) return;
-  ASSERT_EQ(a.is_categorical(), b.is_categorical());
-  if (a.is_categorical()) {
-    EXPECT_EQ(a.label(), b.label());
-  } else {
-    EXPECT_TRUE(SameBits(a.number(), b.number()));
-  }
-}
-
-// Little-endian put helpers for hand-crafting hostile payloads.
-void PutU8(uint8_t v, std::string* out) {
-  out->push_back(static_cast<char>(v));
-}
-void PutU32(uint32_t v, std::string* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-void PutU64(uint64_t v, std::string* out) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
 
 // -------------------------------------------------------------------------
 // One representative frame per message kind, with awkward payloads: NaN,
@@ -169,30 +136,6 @@ HelloResponse MakeHelloResponseV2() {
   return msg;
 }
 
-ShardDeltaRequest MakeShardDeltaRequest() {
-  ShardDeltaRequest msg;
-  msg.shard = 3;
-  msg.schema_fingerprint = 0xfeedfacecafebeefull;
-  msg.seqs = {1, 2, 0xffffffffffffffffull};
-  msg.retracted_seqs = {7, 0x8000000000000000ull};
-  std::vector<Answer> answers = {
-      Answer{-2147483647 - 1, CellRef{0, 0}, Value::Categorical(3)},
-      Answer{42, CellRef{2147483647, 2147483647},
-             Value::Continuous(std::numeric_limits<double>::quiet_NaN())},
-      Answer{7, CellRef{5, 2}, Value::Continuous(-0.0)},
-  };
-  EncodeAnswerBlock(answers.data(), answers.size(), &msg.block);
-  return msg;
-}
-
-ShardDeltaResponse MakeShardDeltaResponse() {
-  ShardDeltaResponse msg;
-  msg.status = WireStatus::kFailedPrecondition;
-  msg.answers_applied = 0xdeadbeefull;
-  msg.retractions_applied = 3;
-  return msg;
-}
-
 LogGatherResponse MakeLogGatherResponse() {
   LogGatherResponse msg;
   msg.status = WireStatus::kOk;
@@ -222,7 +165,7 @@ ApplyLeasesResponse MakeApplyLeasesResponse() {
 /// v3 frames interleaved, the coexistence every decoder must handle on one
 /// stream.
 std::vector<std::string> AllFrames() {
-  std::vector<std::string> frames(22);
+  std::vector<std::string> frames(20);
   EncodeHelloRequest(MakeHelloRequest(), &frames[0]);
   EncodeHelloResponse(MakeHelloResponse(), &frames[1]);
   EncodeLeaseRequest(MakeLeaseRequest(), &frames[2]);
@@ -237,16 +180,14 @@ std::vector<std::string> AllFrames() {
   EncodeFinalizeResponse(MakeFinalizeResponse(), &frames[11]);
   EncodeStatsRequest(StatsRequest{}, &frames[12]);
   EncodeStatsResponse(MakeStatsResponse(), &frames[13]);
-  // Protocol v2: version-negotiating Hello forms and the shard-delta pair.
+  // Protocol v2: the version-negotiating Hello forms.
   EncodeHelloRequest(MakeHelloRequestV2(), &frames[14]);
   EncodeHelloResponse(MakeHelloResponseV2(), &frames[15]);
-  EncodeShardDeltaRequest(MakeShardDeltaRequest(), &frames[16]);
-  EncodeShardDeltaResponse(MakeShardDeltaResponse(), &frames[17]);
   // Protocol v3: the router/shard-daemon pair (docs/SHARDING.md).
-  EncodeLogGatherRequest(LogGatherRequest{}, &frames[18]);
-  EncodeLogGatherResponse(MakeLogGatherResponse(), &frames[19]);
-  EncodeApplyLeasesRequest(MakeApplyLeasesRequest(), &frames[20]);
-  EncodeApplyLeasesResponse(MakeApplyLeasesResponse(), &frames[21]);
+  EncodeLogGatherRequest(LogGatherRequest{}, &frames[16]);
+  EncodeLogGatherResponse(MakeLogGatherResponse(), &frames[17]);
+  EncodeApplyLeasesRequest(MakeApplyLeasesRequest(), &frames[18]);
+  EncodeApplyLeasesResponse(MakeApplyLeasesResponse(), &frames[19]);
   return frames;
 }
 
@@ -327,7 +268,8 @@ TEST(NetProtocol, SubmitBatchRoundTripsBitExactly) {
   for (size_t i = 0; i < want.items.size(); ++i) {
     EXPECT_EQ(req.items[i].first.row, want.items[i].first.row);
     EXPECT_EQ(req.items[i].first.col, want.items[i].first.col);
-    ExpectValuesEqual(req.items[i].second, want.items[i].second);
+    tcrowd::testing::ExpectSameValue(req.items[i].second,
+                                     want.items[i].second);
   }
 
   frame.clear();
@@ -433,7 +375,7 @@ TEST(FrameDecoder, ByteAtATimeFeedingYieldsIdenticalFrames) {
 // -------------------------------------------------------------------------
 // The shared fuzz matrix (tests/test_helpers.h): every byte flipped with
 // each of {0x01, 0x80, 0xff} and truncation at every length over a stream
-// holding every frame kind — v1 AND v2 (shard-delta) frames interleaved.
+// holding every frame kind — v1, v2 and v3 frames interleaved.
 // CRC-32 detects any single-byte corruption, so the decode must recover
 // EXACTLY the frames before the damaged one — bit-identical — and report
 // truncation. Never crash. The strict connection decoder must peel the same
@@ -559,18 +501,27 @@ TEST(FrameFuzz, CustomPayloadCapAppliesToWellFormedFrames) {
 }
 
 TEST(FrameFuzz, UnknownMessageTypeIsCorrupt) {
-  std::string evil;
-  PutU32(kFrameMagic, &evil);
-  PutU8(static_cast<uint8_t>(kProtocolVersion), &evil);
-  PutU8(0x7f, &evil);  // no such request
-  PutU32(0, &evil);
-  PutU32(0, &evil);  // CRC (never reached: type is checked first)
-  FrameDecoder decoder;
-  decoder.Feed(evil.data(), evil.size());
-  Frame out;
-  std::string error;
-  EXPECT_EQ(decoder.Next(&out, &error), FrameDecoder::Result::kCorrupt);
-  EXPECT_NE(error.find("type"), std::string::npos) << error;
+  // 0x7f was never assigned; 0x08/0x88 are the reserved kind bytes of a
+  // retired v2 message, refused in every frame version.
+  for (uint8_t type : {0x7f, 0x08, 0x88}) {
+    for (uint8_t version = kProtocolVersionMin;
+         version <= kProtocolVersionMax; ++version) {
+      std::string evil;
+      PutU32(kFrameMagic, &evil);
+      PutU8(version, &evil);
+      PutU8(type, &evil);
+      PutU32(0, &evil);
+      PutU32(0, &evil);  // CRC (never reached: type is checked first)
+      FrameDecoder decoder;
+      decoder.Feed(evil.data(), evil.size());
+      Frame out;
+      std::string error;
+      EXPECT_EQ(decoder.Next(&out, &error), FrameDecoder::Result::kCorrupt)
+          << int(type) << " v" << int(version);
+      EXPECT_NE(error.find("unknown message type"), std::string::npos)
+          << error;
+    }
+  }
 }
 
 TEST(PayloadDecoders, HostileCountsRejectedBeforeAllocation) {
@@ -663,25 +614,26 @@ TEST(NetProtocol, WireStatusMappingCoversEveryStatusCode) {
 
 TEST(NetProtocol, MsgTypeNamesAndRanges) {
   for (uint8_t t = 0x01; t <= 0x0a; ++t) {
+    if (t == 0x08) continue;  // reserved: a retired v2 kind
     EXPECT_TRUE(IsKnownMsgType(t));
     EXPECT_TRUE(IsKnownMsgType(t | 0x80));
     EXPECT_STRNE(MsgTypeName(static_cast<MsgType>(t)), "unknown");
     EXPECT_STRNE(MsgTypeName(static_cast<MsgType>(t | 0x80)), "unknown");
   }
   EXPECT_FALSE(IsKnownMsgType(0x00));
+  EXPECT_FALSE(IsKnownMsgType(0x08));
+  EXPECT_FALSE(IsKnownMsgType(0x88));
   EXPECT_FALSE(IsKnownMsgType(0x0b));
   EXPECT_FALSE(IsKnownMsgType(0x80));
   EXPECT_FALSE(IsKnownMsgType(0x8b));
   EXPECT_FALSE(IsKnownMsgType(0xff));
 
-  // The shard-delta pair is v2-only, the router/shard-daemon vocabulary
-  // (log-gather, apply-leases) v3-only; the rest is v1.
+  // The router/shard-daemon vocabulary (log-gather, apply-leases) is
+  // v3-only; the rest is v1.
   for (uint8_t t = 0x01; t <= 0x07; ++t) {
     EXPECT_EQ(MinProtocolVersionForMsgType(t), 1) << int(t);
     EXPECT_EQ(MinProtocolVersionForMsgType(t | 0x80), 1) << int(t);
   }
-  EXPECT_EQ(MinProtocolVersionForMsgType(0x08), 2);
-  EXPECT_EQ(MinProtocolVersionForMsgType(0x88), 2);
   EXPECT_EQ(MinProtocolVersionForMsgType(0x09), 3);
   EXPECT_EQ(MinProtocolVersionForMsgType(0x89), 3);
   EXPECT_EQ(MinProtocolVersionForMsgType(0x0a), 3);
@@ -689,9 +641,9 @@ TEST(NetProtocol, MsgTypeNamesAndRanges) {
 }
 
 // -------------------------------------------------------------------------
-// Protocol v2: version negotiation and the shard-delta message kind
-// (docs/SHARDING.md). The compatibility contract — a v2 shard-delta peer
-// coexists with v1 clients on the same listener — is pinned here.
+// Protocol v2: version negotiation. The compatibility contract — a
+// negotiating peer coexists with v1 clients on the same listener — is
+// pinned here.
 
 TEST(Negotiation, VersionRangeConstantsArePinned) {
   // v1 must stay in the supported range forever: pre-negotiation clients
@@ -795,121 +747,6 @@ TEST(Negotiation, V2HelloRoundTripsTheVersionRange) {
   ASSERT_EQ(resp.columns.size(), want.columns.size());
 }
 
-TEST(ShardDelta, RoundTripsBitExactly) {
-  ShardDeltaRequest want = MakeShardDeltaRequest();
-  std::string frame;
-  EncodeShardDeltaRequest(want, &frame);
-
-  FrameDecoder decoder;
-  decoder.Feed(frame.data(), frame.size());
-  Frame out;
-  std::string error;
-  ASSERT_EQ(decoder.Next(&out, &error), FrameDecoder::Result::kFrame)
-      << error;
-  EXPECT_EQ(out.type, MsgType::kShardDelta);
-  EXPECT_EQ(out.version, 2);  // the kind only exists in v2 frames
-
-  ShardDeltaRequest req;
-  ASSERT_TRUE(DecodeShardDeltaRequest(out.payload.data(), out.payload.size(),
-                                      &req)
-                  .ok());
-  EXPECT_EQ(req.shard, want.shard);
-  EXPECT_EQ(req.schema_fingerprint, want.schema_fingerprint);
-  EXPECT_EQ(req.seqs, want.seqs);
-  EXPECT_EQ(req.retracted_seqs, want.retracted_seqs);
-  ASSERT_EQ(req.block, want.block);  // byte-identical segment block
-
-  // And the block itself decodes back to the awkward answers bit-exactly.
-  std::vector<Answer> answers;
-  ASSERT_TRUE(
-      DecodeAnswerBlock(req.block.data(), req.block.size(), &answers).ok());
-  ASSERT_EQ(answers.size(), req.seqs.size());
-  EXPECT_EQ(answers[0].worker, -2147483647 - 1);
-  EXPECT_EQ(answers[1].cell.row, 2147483647);
-  EXPECT_TRUE(std::isnan(answers[1].value.number()));
-  EXPECT_TRUE(SameBits(answers[2].value.number(), -0.0));
-
-  frame.clear();
-  EncodeShardDeltaResponse(MakeShardDeltaResponse(), &frame);
-  ShardDeltaResponse resp = DecodeOneFrame(frame, MsgType::kShardDeltaResp,
-                                           DecodeShardDeltaResponse);
-  EXPECT_EQ(resp.status, MakeShardDeltaResponse().status);
-  EXPECT_EQ(resp.answers_applied, MakeShardDeltaResponse().answers_applied);
-  EXPECT_EQ(resp.retractions_applied,
-            MakeShardDeltaResponse().retractions_applied);
-}
-
-TEST(ShardDelta, HostileCountsRejectedBeforeAllocation) {
-  {
-    std::string payload;
-    PutU32(0, &payload);             // shard
-    PutU64(1, &payload);             // fingerprint
-    PutU32(0x20000000u, &payload);   // seq count demanding ~4 GiB
-    ShardDeltaRequest out;
-    Status st =
-        DecodeShardDeltaRequest(payload.data(), payload.size(), &out);
-    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-    EXPECT_TRUE(out.seqs.empty());
-  }
-  {
-    std::string payload;
-    PutU32(0, &payload);             // shard
-    PutU64(1, &payload);             // fingerprint
-    PutU32(0, &payload);             // no seqs
-    PutU32(0xffffffffu, &payload);   // hostile retraction count
-    ShardDeltaRequest out;
-    Status st =
-        DecodeShardDeltaRequest(payload.data(), payload.size(), &out);
-    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-    EXPECT_TRUE(out.retracted_seqs.empty());
-  }
-  {
-    std::string payload;
-    PutU32(0, &payload);             // shard
-    PutU64(1, &payload);             // fingerprint
-    PutU32(0, &payload);             // no seqs
-    PutU32(0, &payload);             // no retractions
-    PutU32(0x7fffffffu, &payload);   // block length past the payload end
-    ShardDeltaRequest out;
-    Status st =
-        DecodeShardDeltaRequest(payload.data(), payload.size(), &out);
-    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-    EXPECT_TRUE(out.block.empty());
-  }
-}
-
-TEST(ShardDelta, V2OnlyKindInV1FrameIsCorrupt) {
-  // Hand-craft a kShardDelta frame whose version byte claims v1: the kind
-  // does not exist in v1, so BOTH decoders must refuse it — a peer that
-  // never negotiated v2 can never smuggle v2 messages.
-  std::string frame;
-  EncodeShardDeltaRequest(MakeShardDeltaRequest(), &frame);
-  ASSERT_EQ(static_cast<uint8_t>(frame[4]), 2);  // version byte
-  // Rewriting the version invalidates the CRC, so recompute the whole
-  // frame by hand: header with version 1, same payload, fresh CRC.
-  const char* payload = frame.data() + kFrameHeaderBytes;
-  size_t payload_len = frame.size() - kFrameHeaderBytes - kFrameTrailerBytes;
-  std::string evil;
-  PutU32(kFrameMagic, &evil);
-  PutU8(1, &evil);  // v1 frame...
-  PutU8(static_cast<uint8_t>(MsgType::kShardDelta), &evil);  // ...v2 kind
-  PutU32(static_cast<uint32_t>(payload_len), &evil);
-  evil.append(payload, payload_len);
-  PutU32(Crc32(evil.data(), evil.size()), &evil);
-
-  FrameDecoder decoder;
-  decoder.Feed(evil.data(), evil.size());
-  Frame out;
-  std::string error;
-  EXPECT_EQ(decoder.Next(&out, &error), FrameDecoder::Result::kCorrupt);
-  EXPECT_NE(error.find("version"), std::string::npos) << error;
-
-  FrameStreamReplay replay;
-  ASSERT_TRUE(DecodeFrameStream(evil.data(), evil.size(), &replay).ok());
-  EXPECT_TRUE(replay.frames.empty());
-  EXPECT_TRUE(replay.truncated);
-}
-
 // -------------------------------------------------------------------------
 // Protocol v3: the router/shard-daemon vocabulary (docs/SHARDING.md) —
 // kLogGather ships a shard's whole live answer log, kApplyLeases replays a
@@ -949,9 +786,8 @@ TEST(RouterProtocol, LogGatherRoundTripsBitExactly) {
   ASSERT_EQ(answers.size(), resp.answer_count);
   EXPECT_EQ(answers[0].worker, -2147483647 - 1);
   EXPECT_EQ(answers[1].cell.row, 2147483647);
-  EXPECT_TRUE(
-      SameBits(answers[1].value.number(),
-               std::numeric_limits<double>::denorm_min()));
+  EXPECT_TRUE(tcrowd::testing::SameBits(
+      answers[1].value.number(), std::numeric_limits<double>::denorm_min()));
   EXPECT_FALSE(answers[2].value.valid());
 }
 

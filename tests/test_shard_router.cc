@@ -4,7 +4,7 @@
 // cross-shard session expiry included), the crash/restore drill (one shard
 // dies mid-run, recovers from its OWN snapshot directory, and the merged
 // digest still matches the uninterrupted run while the surviving shards
-// never stalled), snapshot namespace tags, and the delta-fed StandbyReplica.
+// never stalled), and snapshot namespace tags.
 
 #include "service/shard_router.h"
 
@@ -399,91 +399,6 @@ TEST(ShardRouter, NamespaceTagRefusesAForeignPartitionLayout) {
     ShardRouter foreign(schema, rows, RouterConfig(4, dir));
     EXPECT_FALSE(foreign.checkpoint_status().ok());
   }
-}
-
-// ---------------------------------------------------------------------------
-// Sealed-segment deltas and the standby replica.
-
-TEST(StandbyReplica, DeltaFedStandbyReachesTheSameDigest) {
-  SimWorld world(41, /*answers_per_task=*/3);
-  const std::vector<Answer>& all = world.answers.answers();
-  const Schema& schema = world.world.schema;
-  int rows = world.world.truth.num_rows();
-
-  // The sink ships every delta over the REAL wire form: one encoded TCNP
-  // kShardDelta frame, applied through the standby's frame entry point.
-  StandbyReplica standby(schema, rows);
-  ShardRouterConfig config = RouterConfig(4);
-  config.delta_sink = [&standby](const net::ShardDeltaRequest& req) {
-    std::string frame;
-    net::EncodeShardDeltaRequest(req, &frame);
-    return standby.ApplyFrame(frame.data(), frame.size());
-  };
-  ShardRouter router(schema, rows, std::move(config));
-
-  ScriptDriver driver(&router);
-  size_t half = all.size() / 2;
-  std::vector<Answer> first(all.begin(), all.begin() + half);
-  std::vector<Answer> rest(all.begin() + half, all.end());
-  driver.FeedAllOk(first);
-  ASSERT_TRUE(router.PushDeltas().ok());
-  EXPECT_EQ(standby.live_answers(), half);
-
-  // A retraction of an already-shipped answer must reach the standby as a
-  // tombstone in the next delta; one of a never-shipped answer must not.
-  const Answer shipped_gone = first[1];
-  const Answer unshipped_gone = rest[3];
-  ASSERT_TRUE(
-      router.RetractAnswer(shipped_gone.worker, shipped_gone.cell).ok());
-  driver.FeedAllOk(rest);
-  ASSERT_TRUE(
-      router.RetractAnswer(unshipped_gone.worker, unshipped_gone.cell).ok());
-
-  // Finalize pushes the remaining deltas implicitly; the standby must hold
-  // exactly the live set and batch-fit to the identical digest.
-  uint64_t want = TruthDigest(router.Finalize().estimated_truth);
-  EXPECT_EQ(standby.live_answers(), all.size() - 2);
-  EXPECT_GE(standby.deltas_applied(), 2u);
-  InferenceResult standby_result =
-      standby.Finalize(BaseConfig().inference);
-  EXPECT_EQ(TruthDigest(standby_result.estimated_truth), want);
-
-  // A differently shaped standby refuses the delta outright.
-  StandbyReplica misfit(schema, rows + 1);
-  net::ShardDeltaRequest req;
-  req.schema_fingerprint = router.global_fingerprint();
-  EXPECT_EQ(misfit.Apply(req).code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(StandbyReplica, SinkFailureLeavesDeltasPendingForTheNextPush) {
-  SimWorld world(51, /*answers_per_task=*/2);
-  const std::vector<Answer>& all = world.answers.answers();
-  const Schema& schema = world.world.schema;
-  int rows = world.world.truth.num_rows();
-
-  StandbyReplica standby(schema, rows);
-  bool sink_up = false;
-  ShardRouterConfig config = RouterConfig(2);
-  config.delta_sink = [&](const net::ShardDeltaRequest& req) {
-    if (!sink_up) return Status::IoError("standby unreachable");
-    return standby.Apply(req);
-  };
-  ShardRouter router(schema, rows, std::move(config));
-
-  ScriptDriver driver(&router);
-  std::vector<Answer> some(all.begin(), all.begin() + 20);
-  driver.FeedAllOk(some);
-  EXPECT_FALSE(router.PushDeltas().ok());
-  EXPECT_EQ(standby.live_answers(), 0u);
-
-  // Nothing was marked shipped, so the next push delivers everything.
-  sink_up = true;
-  ASSERT_TRUE(router.PushDeltas().ok());
-  EXPECT_EQ(standby.live_answers(), 20u);
-  // And a re-push with no new work ships nothing (idempotent watermark).
-  uint64_t applied = standby.deltas_applied();
-  ASSERT_TRUE(router.PushDeltas().ok());
-  EXPECT_EQ(standby.deltas_applied(), applied);
 }
 
 }  // namespace

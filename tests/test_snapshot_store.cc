@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "data/byte_codec.h"
+
 namespace tcrowd::service {
 namespace {
 
@@ -355,10 +357,8 @@ TEST(SnapshotStore, FormatVersionMismatchIsRefused) {
   std::string manifest_path = (fs::path(dir) / "MANIFEST").string();
   std::string bytes = ReadFile(manifest_path);
   bytes[4] = static_cast<char>(kSegmentCodecVersion + 1);
-  uint32_t crc = Crc32(bytes.data(), bytes.size() - 4);
-  for (int i = 0; i < 4; ++i) {
-    bytes[bytes.size() - 4 + i] = static_cast<char>((crc >> (8 * i)) & 0xff);
-  }
+  bytes.resize(bytes.size() - 4);
+  PutCrc32Since(0, &bytes);
   WriteFile(manifest_path, bytes);
 
   SnapshotStore store(Args(dir));

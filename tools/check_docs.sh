@@ -9,9 +9,9 @@
 #      EM streaming -> finalize), so renaming or removing a stage forces a
 #      doc update;
 #   3. docs/PERSISTENCE.md must exist and keep naming every piece of the
-#      durability subsystem (codec, snapshot store, checkpoint hooks, the
-#      on-disk file names, the retraction records), so the recovery
-#      protocol doc cannot rot;
+#      durability subsystem (the shared byte codec, the segment codec,
+#      snapshot store, checkpoint hooks, the on-disk file names, the
+#      retraction records), so the recovery protocol doc cannot rot;
 #   4. docs/SCENARIOS.md must exist and keep naming the scenario
 #      subsystem's pieces (behavior/arrival interfaces, the runner, the
 #      registered scenario names, the curve CSV), so the scenario pack
@@ -21,16 +21,21 @@
 #      exposition, snapshot inspection, report JSON), so the
 #      record/replay and tracing doc cannot rot;
 #   6. docs/PROTOCOL.md must exist and keep naming the socket front-end's
-#      pieces (frame constants, decoders, message vocabulary, the
-#      backpressure knobs, RETRY_LATER semantics, the daemon/client
-#      tooling), so the wire-protocol doc cannot rot;
+#      pieces (frame constants, decoders, the shared byte codec, message
+#      vocabulary and its reserved kind bytes, the backpressure knobs,
+#      RETRY_LATER semantics, the daemon/client tooling), so the
+#      wire-protocol doc cannot rot;
 #   7. docs/SHARDING.md must exist and keep naming the multi-shard
 #      serving tier's pieces (the router and partition map, namespace
-#      tags, the global arrival ledger, the delta wire format, the
-#      standby, the crash/restore drill), so the sharding doc cannot rot;
+#      tags, the global arrival ledger, the process topology, the
+#      crash/restore drill), so the sharding doc cannot rot;
 #   8. README.md and docs/ARCHITECTURE.md must link the lifecycle,
 #      persistence, observability, protocol, and sharding docs, and
-#      README.md must link the scenarios doc.
+#      README.md must link the scenarios doc;
+#   9. one byte codec: the CRC-32 polynomial (0xedb88320), a
+#      `struct Reader`, or a `void PutU*` definition anywhere in the C++
+#      sources outside src/data/byte_codec.* fails the check — every
+#      format encodes through that one codec.
 #
 # Run it locally after adding a module or touching the answer path:
 #
@@ -89,7 +94,8 @@ if [ ! -f "$persistence" ]; then
 else
   # The durability subsystem's load-bearing names; each must stay
   # documented (codec + store APIs, engine hooks, on-disk file names).
-  for anchor in segment_codec SnapshotStore CheckpointArgs \
+  for anchor in byte_codec ByteReader Crc32 \
+                segment_codec SnapshotStore CheckpointArgs \
                 EncodeAnswerBlock SchemaFingerprint MANIFEST journal.bin \
                 restored_answers checkpoint_status crash-after \
                 EncodeRetractionRecord RetractAnswer \
@@ -148,11 +154,13 @@ if [ ! -f "$protocol" ]; then
   fail=1
 else
   # The wire protocol's load-bearing names: frame constants, both
-  # decoders, every message kind, the backpressure machinery, and the
-  # tools that speak it.
+  # decoders, the byte codec under them, every message kind and the
+  # reserved kind bytes, the backpressure machinery, and the tools that
+  # speak it.
   for anchor in kFrameMagic kMaxFramePayload FrameDecoder \
-                DecodeFrameStream Hello Lease SubmitBatch Retract Bye \
-                Finalize Stats ShardDelta LogGather ApplyLeases \
+                DecodeFrameStream byte_codec Hello Lease SubmitBatch \
+                Retract Bye Finalize Stats LogGather ApplyLeases \
+                "0x08) | reserved (retired" \
                 RETRY_LATER write_queue_high \
                 max_frames_per_wake inflight-budget \
                 answers_since_refresh RequestRefresh tcrowd_serverd \
@@ -173,12 +181,11 @@ if [ ! -f "$sharding" ]; then
 else
   # The multi-shard serving tier's load-bearing names: the router facade,
   # the partition map, the merge machinery that buys the bit-identity
-  # guarantee, the delta wire format, the standby, the failover drill,
-  # and the multi-process topology behind the ShardBackend seam.
+  # guarantee, the failover drill, and the multi-process topology behind
+  # the ShardBackend seam.
   for anchor in ShardRouter ShardRouterConfig PartitionRows \
                 namespace_tag NamespacedFingerprint shard-NNN \
-                kShardDelta ShardDeltaRequest PushDeltas delta_sink \
-                EncodeAnswerBlock StandbyReplica CrashShard RestoreShard \
+                backend_factory EncodeAnswerBlock CrashShard RestoreShard \
                 NegotiateProtocolVersion TruthDigest bench_shard \
                 --shards ShardBackend LocalShardBackend \
                 RemoteShardBackend LogGather --router --shard-index \
@@ -207,6 +214,20 @@ if ! grep -q "SCENARIOS.md" "$readme"; then
   fail=1
 fi
 
+# One byte codec: little-endian writers, the bounds-checked reader and
+# CRC-32 live in src/data/byte_codec.* only.
+codec_copies=$(cd "$repo_root" && grep -rnE \
+    '0xedb88320|struct Reader\b|void PutU[0-9]+ *\(' \
+    --include='*.cc' --include='*.h' \
+    src tools tests bench examples perfbench 2>/dev/null |
+  grep -v '^src/data/byte_codec\.' || true)
+if [ -n "$codec_copies" ]; then
+  echo "check_docs.sh: byte codec code outside src/data/byte_codec.*" \
+       "(encode through data/byte_codec.h instead):" >&2
+  echo "$codec_copies" | sed 's/^/  /' >&2
+  fail=1
+fi
+
 [ "$fail" -eq 0 ] || exit 1
 
-echo "check_docs.sh: all $(ls -d "$repo_root"/src/*/ | wc -l | tr -d ' ') src/ modules are documented; data-lifecycle, persistence, scenarios, observability, protocol, and sharding docs are fresh."
+echo "check_docs.sh: all $(ls -d "$repo_root"/src/*/ | wc -l | tr -d ' ') src/ modules are documented; data-lifecycle, persistence, scenarios, observability, protocol, and sharding docs are fresh; one byte codec."

@@ -6,7 +6,7 @@
 # segment persistence (snapshot write/load throughput, crash-recovery
 # latency vs history size), the socket front-end (bench_net: loopback
 # TCNP round-trip p50/p99 for stats/lease/submit), and the multi-shard
-# serving tier (bench_shard: routed-ingest / merged-Finalize / delta-push
+# serving tier (bench_shard: routed-ingest / merged-Finalize / socket
 # scaling over 1/2/4/8 shards, docs/SHARDING.md) — and snapshots their
 # JSON output into one
 # BENCH_baseline.json, so later optimizations have a fixed reference to
