@@ -4,15 +4,18 @@
 
 namespace tcrowd {
 
-std::vector<CellRef> AssignmentPolicy::SelectTasks(const Schema& schema,
-                                                   const AnswerSet& answers,
-                                                   WorkerId worker, int k) {
+std::vector<CellRef> AssignmentPolicy::SelectTasksExcluding(
+    const Schema& schema, const AnswerSet& answers, WorkerId worker,
+    const std::vector<CellRef>& exclude, int k) {
+  // `excluded` accumulates `exclude` plus the picks so far, so no cell is
+  // handed out twice in one batch.
   std::vector<CellRef> picked;
-  picked.reserve(k);
+  std::vector<CellRef> excluded = exclude;
   for (int n = 0; n < k; ++n) {
     CellRef next;
-    if (!SelectTaskExcluding(schema, answers, worker, picked, &next)) break;
+    if (!SelectTaskExcluding(schema, answers, worker, excluded, &next)) break;
     picked.push_back(next);
+    excluded.push_back(next);
   }
   return picked;
 }

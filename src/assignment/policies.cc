@@ -139,12 +139,11 @@ double InherentGainPolicy::Gain(const AnswerSet& answers, WorkerId worker,
   return ig.InherentGain(answers, worker, cell);
 }
 
-bool InherentGainPolicy::ArgmaxCandidate(
+std::vector<CellRef> InherentGainPolicy::TopCandidates(
     const AnswerSet& answers, WorkerId worker,
     const std::vector<CellRef>& exclude,
-    const std::function<double(CellRef)>& score, CellRef* out) const {
+    const std::function<double(CellRef)>& score, int k) const {
   std::vector<CellRef> candidates = CandidateCells(answers, worker, exclude);
-  if (candidates.empty()) return false;
   std::vector<double> scores(candidates.size());
   if (pool_ != nullptr) {
     pool_->ParallelFor(candidates.size(),
@@ -154,21 +153,48 @@ bool InherentGainPolicy::ArgmaxCandidate(
       scores[i] = score(candidates[i]);
     }
   }
-  size_t best = static_cast<size_t>(
-      std::max_element(scores.begin(), scores.end()) - scores.begin());
-  *out = candidates[best];
-  return true;
+  // Each round is the std::max_element scan (first of the maxima) over the
+  // candidates not yet taken, so ties and NaN scores resolve exactly as in
+  // repeated exclusion.
+  std::vector<CellRef> picked;
+  std::vector<char> taken(candidates.size(), 0);
+  const size_t rounds = std::min(candidates.size(),
+                                 static_cast<size_t>(std::max(k, 0)));
+  for (size_t n = 0; n < rounds; ++n) {
+    size_t best = candidates.size();
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      if (taken[i]) continue;
+      if (best == candidates.size() || scores[best] < scores[i]) best = i;
+    }
+    taken[best] = 1;
+    picked.push_back(candidates[best]);
+  }
+  return picked;
+}
+
+std::function<double(CellRef)> InherentGainPolicy::Scorer(
+    const AnswerSet& answers, WorkerId worker) const {
+  InformationGain ig(&state_);
+  return [ig, &answers, worker](CellRef cell) {
+    return ig.InherentGain(answers, worker, cell);
+  };
 }
 
 bool InherentGainPolicy::SelectTaskExcluding(
     const Schema& schema, const AnswerSet& answers, WorkerId worker,
     const std::vector<CellRef>& exclude, CellRef* out) {
+  std::vector<CellRef> picked =
+      SelectTasksExcluding(schema, answers, worker, exclude, 1);
+  if (picked.empty()) return false;
+  *out = picked.front();
+  return true;
+}
+
+std::vector<CellRef> InherentGainPolicy::SelectTasksExcluding(
+    const Schema& schema, const AnswerSet& answers, WorkerId worker,
+    const std::vector<CellRef>& exclude, int k) {
   if (!fitted_) Refresh(schema, answers);
-  InformationGain ig(&state_);
-  return ArgmaxCandidate(
-      answers, worker, exclude,
-      [&](CellRef cell) { return ig.InherentGain(answers, worker, cell); },
-      out);
+  return TopCandidates(answers, worker, exclude, Scorer(answers, worker), k);
 }
 
 // -------------------------------------------------------- StructureAware --
@@ -212,21 +238,16 @@ double StructureAwarePolicy::StructureGain(const AnswerSet& answers,
                                                  cell.row, cell.col));
 }
 
-bool StructureAwarePolicy::SelectTaskExcluding(
-    const Schema& schema, const AnswerSet& answers, WorkerId worker,
-    const std::vector<CellRef>& exclude, CellRef* out) {
-  if (!fitted()) Refresh(schema, answers);
+std::function<double(CellRef)> StructureAwarePolicy::Scorer(
+    const AnswerSet& answers, WorkerId worker) const {
   // The worker's evidence sets are a function of (worker, answers) only:
   // build them once, score all candidates against their row's set.
   std::vector<std::vector<ObservedError>> row_evidence =
       ErrorCorrelationModel::BuildRowEvidence(state_, answers, worker);
-  return ArgmaxCandidate(
-      answers, worker, exclude,
-      [&](CellRef cell) {
-        return GainWithEvidence(answers, worker, cell,
-                                row_evidence[cell.row]);
-      },
-      out);
+  return [this, &answers, worker,
+          row_evidence = std::move(row_evidence)](CellRef cell) {
+    return GainWithEvidence(answers, worker, cell, row_evidence[cell.row]);
+  };
 }
 
 // ------------------------------------------------------------------ CDAS --

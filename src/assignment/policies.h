@@ -93,6 +93,9 @@ class InherentGainPolicy : public AssignmentPolicy {
                            WorkerId worker,
                            const std::vector<CellRef>& exclude,
                            CellRef* out) override;
+  std::vector<CellRef> SelectTasksExcluding(
+      const Schema& schema, const AnswerSet& answers, WorkerId worker,
+      const std::vector<CellRef>& exclude, int k) override;
 
   /// Exposed for diagnostics/tests: IG of one cell for one worker.
   double Gain(const AnswerSet& answers, WorkerId worker, CellRef cell) const;
@@ -101,11 +104,18 @@ class InherentGainPolicy : public AssignmentPolicy {
   const TCrowdState& state() const { return state_; }
   bool fitted() const { return fitted_; }
 
-  /// Scores every candidate (possibly in parallel) and returns the argmax.
-  bool ArgmaxCandidate(
+  /// Scores every candidate once (possibly in parallel) and returns up to
+  /// `k` of them by score descending, row-major order among ties. With the
+  /// state frozen a cell scores the same in every round, so these are
+  /// exactly the picks of k argmax rounds that exclude the earlier picks.
+  std::vector<CellRef> TopCandidates(
       const AnswerSet& answers, WorkerId worker,
       const std::vector<CellRef>& exclude,
-      const std::function<double(CellRef)>& score, CellRef* out) const;
+      const std::function<double(CellRef)>& score, int k) const;
+
+  /// The policy's scoring function for `worker` against the current state.
+  virtual std::function<double(CellRef)> Scorer(const AnswerSet& answers,
+                                                WorkerId worker) const;
 
   TCrowdModel model_;
   TCrowdState state_;
@@ -129,16 +139,16 @@ class StructureAwarePolicy : public InherentGainPolicy {
         corr_options_(corr_options) {}
   std::string name() const override { return "StructureAware"; }
   void Refresh(const Schema& schema, const AnswerSet& answers) override;
-  bool SelectTaskExcluding(const Schema& schema, const AnswerSet& answers,
-                           WorkerId worker,
-                           const std::vector<CellRef>& exclude,
-                           CellRef* out) override;
 
   /// Structure-aware gain of one cell (diagnostics/tests).
   double StructureGain(const AnswerSet& answers, WorkerId worker,
                        CellRef cell) const;
 
   const ErrorCorrelationModel& correlation() const { return correlation_; }
+
+ protected:
+  std::function<double(CellRef)> Scorer(const AnswerSet& answers,
+                                        WorkerId worker) const override;
 
  private:
   /// StructureGain against a prebuilt evidence set for the cell's row (may

@@ -52,11 +52,22 @@ class AssignmentPolicy {
     return SelectTaskExcluding(schema, answers, worker, {}, out);
   }
 
-  /// Picks up to `k` tasks (paper Section 5.3): the greedy top-K selection
-  /// of Eq. 9, implemented by repeated exclusion.
+  /// Picks up to `k` distinct tasks for `worker` among cells the worker has
+  /// not answered and that are not in `exclude` (paper Section 5.3): the
+  /// greedy top-K selection of Eq. 9. The default runs repeated exclusion
+  /// through SelectTaskExcluding. Policies whose scores do not depend on
+  /// earlier picks override it to score the candidates once; an override
+  /// must return exactly the repeated-exclusion picks, in order.
+  virtual std::vector<CellRef> SelectTasksExcluding(
+      const Schema& schema, const AnswerSet& answers, WorkerId worker,
+      const std::vector<CellRef>& exclude, int k);
+
+  /// Picks up to `k` tasks with nothing excluded.
   std::vector<CellRef> SelectTasks(const Schema& schema,
                                    const AnswerSet& answers, WorkerId worker,
-                                   int k);
+                                   int k) {
+    return SelectTasksExcluding(schema, answers, worker, {}, k);
+  }
 };
 
 /// All cells the worker has not answered yet and that are not excluded.

@@ -36,14 +36,19 @@ double EmExecutor::AccumulateSharded(
   }
 
   if (scratch_.size() < shards) scratch_.resize(shards);
-  scratch_value_.assign(shards, 0.0);
+  // Whole cache lines per shard, so the padding never shares a line either.
+  constexpr size_t kLineDoubles = kCacheLine / sizeof(double);
+  const size_t padded = (grad_size + kLineDoubles - 1) / kLineDoubles *
+                        kLineDoubles;
   size_t per_shard = (n + shards - 1) / shards;
   pool_->ParallelFor(shards, [&](size_t s) {
-    if (scratch_[s].size() < grad_size) scratch_[s].resize(grad_size);
-    std::fill(scratch_[s].begin(), scratch_[s].begin() + grad_size, 0.0);
+    ShardScratch& sc = scratch_[s];
+    if (sc.grad.size() < padded) sc.grad.resize(padded);
+    std::fill(sc.grad.begin(), sc.grad.begin() + grad_size, 0.0);
+    sc.value = 0.0;
     size_t lo = s * per_shard;
     size_t hi = std::min(n, lo + per_shard);
-    if (lo < hi) body(lo, hi, scratch_[s].data(), &scratch_value_[s]);
+    if (lo < hi) body(lo, hi, sc.grad.data(), &sc.value);
   });
 
   // Pairwise reduction tree: after the pass with stride k, shard s holds the
@@ -56,19 +61,19 @@ double EmExecutor::AccumulateSharded(
       roots.push_back(s);
     }
     pool_->ParallelFor(roots.size(), [&](size_t r) {
-      size_t dst = roots[r];
-      size_t src = dst + stride;
-      double* a = scratch_[dst].data();
-      const double* b = scratch_[src].data();
+      ShardScratch& dst = scratch_[roots[r]];
+      const ShardScratch& src = scratch_[roots[r] + stride];
+      double* a = dst.grad.data();
+      const double* b = src.grad.data();
       for (size_t k = 0; k < grad_size; ++k) a[k] += b[k];
-      scratch_value_[dst] += scratch_value_[src];
+      dst.value += src.value;
     });
   }
 
-  double* root = scratch_[0].data();
+  const double* root = scratch_[0].grad.data();
   double* out = grad->data();
   for (size_t k = 0; k < grad_size; ++k) out[k] += root[k];
-  return scratch_value_[0];
+  return scratch_[0].value;
 }
 
 }  // namespace tcrowd

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -92,13 +93,42 @@ class EmExecutor {
       std::vector<double>* grad);
 
  private:
+  static constexpr size_t kCacheLine = 64;
+
+  /// Allocates on cache-line boundaries, so a shard's gradient head never
+  /// shares a line with another allocation.
+  template <typename T>
+  struct CacheLineAllocator {
+    using value_type = T;
+    CacheLineAllocator() = default;
+    template <typename U>
+    CacheLineAllocator(const CacheLineAllocator<U>&) {}
+    T* allocate(size_t n) {
+      return static_cast<T*>(
+          ::operator new(n * sizeof(T), std::align_val_t{kCacheLine}));
+    }
+    void deallocate(T* p, size_t) {
+      ::operator delete(p, std::align_val_t{kCacheLine});
+    }
+    bool operator==(const CacheLineAllocator&) const { return true; }
+    bool operator!=(const CacheLineAllocator&) const { return false; }
+  };
+
+  /// One shard's accumulator. The body adds into `value` and the gradient
+  /// on every item, so each shard's slot sits alone on its cache line and
+  /// its gradient is line-aligned and padded to whole lines: no two shards
+  /// ever write the same line (false sharing made 4 threads slower than 1).
+  struct alignas(kCacheLine) ShardScratch {
+    double value = 0.0;
+    std::vector<double, CacheLineAllocator<double>> grad;
+  };
+
   const int num_shards_;
   std::unique_ptr<ThreadPool> pool_;  // null for a serial executor
 
-  /// Per-shard gradient scratch, alive across calls ("keep the accumulator
-  /// scratch across iterations"): resized only when grad_size grows.
-  std::vector<std::vector<double>> scratch_;
-  std::vector<double> scratch_value_;
+  /// Per-shard scratch, alive across calls ("keep the accumulator scratch
+  /// across iterations"): gradients are resized only when grad_size grows.
+  std::vector<ShardScratch> scratch_;
 };
 
 }  // namespace tcrowd

@@ -8,8 +8,8 @@
 #include "common/logging.h"
 #include "inference/answer_segment.h"
 #include "inference/em_executor.h"
+#include "inference/tcrowd_mstep.h"
 #include "math/entropy.h"
-#include "math/gradient_ascent.h"
 #include "math/normal.h"
 #include "math/special_functions.h"
 #include "math/statistics.h"
@@ -21,62 +21,6 @@ using math::Erf;
 using math::SafeLog;
 
 namespace {
-
-/// Layout of the flat log-parameter vector handed to the optimizer:
-/// [ln alpha_0..N) [ln beta_0..M) [ln phi_0..W) — alpha/beta blocks are
-/// omitted when the corresponding difficulty is not estimated.
-struct ParamLayout {
-  int num_rows = 0;
-  int num_cols = 0;
-  int num_workers = 0;
-  bool with_alpha = true;
-  bool with_beta = true;
-
-  int alpha_offset() const { return 0; }
-  int beta_offset() const { return with_alpha ? num_rows : 0; }
-  int phi_offset() const {
-    return beta_offset() + (with_beta ? num_cols : 0);
-  }
-  int size() const { return phi_offset() + num_workers; }
-
-  double Alpha(const std::vector<double>& p, int i) const {
-    return with_alpha ? std::exp(p[alpha_offset() + i]) : 1.0;
-  }
-  double Beta(const std::vector<double>& p, int j) const {
-    return with_beta ? std::exp(p[beta_offset() + j]) : 1.0;
-  }
-  double Phi(const std::vector<double>& p, int w) const {
-    return std::exp(p[phi_offset() + w]);
-  }
-};
-
-/// Per-parameter exp(ln x) tables, refreshed once per pass instead of
-/// re-evaluating exp() for all three factors on every answer. Table entry k
-/// is exactly ParamLayout::Alpha/Beta/Phi(params, k), so every product
-/// alpha_i * beta_j * phi_w built from the tables is bit-identical to the
-/// historical per-answer computation.
-struct ExpParams {
-  std::vector<double> alpha, beta, phi;
-
-  void Refresh(const ParamLayout& layout, const std::vector<double>& p) {
-    alpha.assign(layout.num_rows, 1.0);
-    if (layout.with_alpha) {
-      for (int i = 0; i < layout.num_rows; ++i) {
-        alpha[i] = std::exp(p[layout.alpha_offset() + i]);
-      }
-    }
-    beta.assign(layout.num_cols, 1.0);
-    if (layout.with_beta) {
-      for (int j = 0; j < layout.num_cols; ++j) {
-        beta[j] = std::exp(p[layout.beta_offset() + j]);
-      }
-    }
-    phi.resize(layout.num_workers);
-    for (int w = 0; w < layout.num_workers; ++w) {
-      phi[w] = std::exp(p[layout.phi_offset() + w]);
-    }
-  }
-};
 
 /// Cell-major cursor into one segment's entries for the row being
 /// processed. Draining the cursors in segment order per column visits a
@@ -349,12 +293,17 @@ TCrowdState TCrowdModel::Fit(const Schema& schema,
 
 TCrowdState TCrowdModel::Fit(const Schema& schema, const AnswerSet& answers,
                              EmExecutor* executor) const {
+  return Fit(schema, BatchSnapshot(schema, answers), executor);
+}
+
+AnswerMatrixSnapshot TCrowdModel::BatchSnapshot(
+    const Schema& schema, const AnswerSet& answers) const {
   TCROWD_CHECK(schema.num_columns() == answers.num_cols())
       << "schema/answers column mismatch";
   // The flat batch layout is just the single-segment special case of the
   // segmented snapshot: compute the column mask, the standardization
   // epoch, and the first-appearance worker registry over the whole log,
-  // seal one segment, and run the shared segmented EM core.
+  // and seal one segment.
   AnswerMatrixSnapshot snap;
   snap.num_rows = answers.num_rows();
   snap.num_cols = answers.num_cols();
@@ -376,7 +325,7 @@ TCrowdState TCrowdModel::Fit(const Schema& schema, const AnswerSet& answers,
         answers.answers().data(), answers.size(), worker_to_dense));
     snap.offsets.push_back(answers.size());
   }
-  return Fit(schema, snap, executor);
+  return snap;
 }
 
 TCrowdState TCrowdModel::Fit(const Schema& schema,
@@ -428,130 +377,13 @@ TCrowdState TCrowdModel::Fit(const Schema& schema,
   // (equivalent to frequency/mean-based initialization).
   RunEStep(schema, snap, xp, executor, &state);
 
-  const double inv_diff_var =
-      1.0 / (options_.log_difficulty_prior_stddev *
-             options_.log_difficulty_prior_stddev);
-  const double inv_phi_var =
-      1.0 /
-      (options_.log_phi_prior_stddev * options_.log_phi_prior_stddev);
-  const double log_phi0 = std::log(options_.initial_phi);
-  const double eps = options_.epsilon;
-
-  const size_t num_answers = snap.num_answers();
-
-  // Per-column constants the M-step needs per answer.
-  std::vector<int> col_labels(state.num_cols, 0);
-  for (int j = 0; j < state.num_cols; ++j) {
-    if (schema.column(j).type == ColumnType::kCategorical) {
-      col_labels[j] = schema.column(j).num_labels();
-    }
-  }
-
-  // Expected complete-data log-likelihood Q (paper Eq. 5) plus the MAP
-  // regularizers, with its gradient; posteriors are held fixed inside.
-  ExpParams mxp;  // exp tables for the optimizer's trial points
-  auto q_objective = [&](const std::vector<double>& p,
-                         std::vector<double>* grad) -> double {
-    std::fill(grad->begin(), grad->end(), 0.0);
-    mxp.Refresh(layout, p);
-
-    // Per-answer accumulation in global answer-id order (segments streamed
-    // back to back); sharded over the executor with one scratch buffer per
-    // shard and a tree reduction.
-    auto accumulate = [&](size_t lo, size_t hi, double* g_out,
-                          double* val_out) {
-      size_t s = static_cast<size_t>(
-                     std::upper_bound(snap.offsets.begin(),
-                                      snap.offsets.end(), lo) -
-                     snap.offsets.begin()) -
-                 1;
-      for (; s < snap.segments.size() && snap.offsets[s] < hi; ++s) {
-        const AnswerSegment& seg = *snap.segments[s];
-        const int32_t* a_row = seg.ans_row();
-        const int32_t* a_col = seg.ans_col();
-        const int32_t* a_worker = seg.ans_worker();
-        const double* a_number = seg.ans_number();
-        const int32_t* a_label = seg.ans_label();
-        const uint8_t* a_active = seg.ans_active();
-        const uint8_t* a_continuous = seg.ans_continuous();
-        size_t seg_lo = std::max(lo, snap.offsets[s]) - snap.offsets[s];
-        size_t seg_hi = std::min(hi, snap.offsets[s + 1]) - snap.offsets[s];
-        for (size_t idx = seg_lo; idx < seg_hi; ++idx) {
-          if (!a_active[idx]) continue;
-          int i = a_row[idx];
-          int j = a_col[idx];
-          int w = a_worker[idx];
-          double s_var = mxp.alpha[i] * mxp.beta[j] * mxp.phi[w];
-          s_var = std::max(s_var, math::Normal::kVarianceFloor);
-          const CellPosterior& post =
-              state.posteriors[static_cast<size_t>(i) * state.num_cols + j];
-          double g;  // d(term)/d(ln s)
-          if (a_continuous[idx]) {
-            double z = a_number[idx];
-            double t_mu = state.Standardize(j, post.mean);
-            double t_var = post.variance /
-                           (state.col_scale[j] * state.col_scale[j]);
-            double resid = (z - t_mu) * (z - t_mu) + t_var;
-            *val_out +=
-                -0.5 * std::log(2.0 * M_PI * s_var) - resid / (2.0 * s_var);
-            g = -0.5 + resid / (2.0 * s_var);
-          } else {
-            int L = col_labels[j];
-            double x = eps / std::sqrt(2.0 * s_var);
-            double q = ClampProb(Erf(x));
-            double p_match = post.probs.empty()
-                                 ? 1.0 / L
-                                 : post.probs[a_label[idx]];
-            *val_out += p_match * std::log(q) +
-                        (1.0 - p_match) *
-                            std::log((1.0 - q) / std::max(1, L - 1));
-            // dq/d(ln s) = -(x / sqrt(pi)) * exp(-x^2).
-            double dq_dlns = -(x / std::sqrt(M_PI)) * std::exp(-x * x);
-            g = (p_match / q - (1.0 - p_match) / (1.0 - q)) * dq_dlns;
-          }
-          if (layout.with_alpha) g_out[layout.alpha_offset() + i] += g;
-          if (layout.with_beta) g_out[layout.beta_offset() + j] += g;
-          g_out[layout.phi_offset() + w] += g;
-        }
-      }
-    };
-
-    double q_val = executor->AccumulateSharded(num_answers, grad->size(),
-                                               accumulate, grad);
-    // MAP regularizers keep rarely-observed parameters near neutral.
-    if (layout.with_alpha) {
-      for (int i = 0; i < layout.num_rows; ++i) {
-        double v = p[layout.alpha_offset() + i];
-        q_val -= 0.5 * inv_diff_var * v * v;
-        (*grad)[layout.alpha_offset() + i] -= inv_diff_var * v;
-      }
-    }
-    if (layout.with_beta) {
-      for (int j = 0; j < layout.num_cols; ++j) {
-        double v = p[layout.beta_offset() + j];
-        q_val -= 0.5 * inv_diff_var * v * v;
-        (*grad)[layout.beta_offset() + j] -= inv_diff_var * v;
-      }
-    }
-    for (int w = 0; w < layout.num_workers; ++w) {
-      double v = p[layout.phi_offset() + w] - log_phi0;
-      q_val -= 0.5 * inv_phi_var * v * v;
-      (*grad)[layout.phi_offset() + w] -= inv_phi_var * v;
-    }
-    return q_val;
-  };
-
-  math::GradientAscentOptions ga;
-  ga.max_iterations = options_.mstep_iterations;
-  ga.initial_step = 0.1;
-
+  TCrowdMStep mstep(snap, state, layout, executor);
   std::vector<double> prev = params;
   for (int iter = 0; iter < options_.max_em_iterations; ++iter) {
     state.em_iterations = iter + 1;
 
-    // M-step: maximize Q over the log-parameters.
-    auto opt = math::MaximizeByGradientAscent(q_objective, params, ga);
-    params = std::move(opt.params);
+    // M-step: block-Newton ascent on Q over the log-parameters.
+    mstep.Maximize(options_.mstep_iterations, &params);
 
     // Clamp and fix the alpha*beta*phi scale degeneracy: mean-center the
     // log-difficulty blocks, pushing the removed scale into phi.
@@ -609,15 +441,11 @@ TCrowdState TCrowdModel::Fit(const Schema& schema,
   }
 
   // Export parameters.
-  for (int i = 0; i < state.num_rows; ++i) {
-    state.row_difficulty[i] = layout.Alpha(params, i);
-  }
-  for (int j = 0; j < state.num_cols; ++j) {
-    state.col_difficulty[j] = layout.Beta(params, j);
-  }
+  state.row_difficulty = xp.alpha;
+  state.col_difficulty = xp.beta;
   std::vector<double> phis;
   for (int w = 0; w < layout.num_workers; ++w) {
-    double phi = layout.Phi(params, w);
+    double phi = xp.phi[w];
     state.worker_phi[snap.worker_ids[w]] = phi;
     phis.push_back(phi);
   }

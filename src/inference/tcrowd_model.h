@@ -25,8 +25,9 @@ struct TCrowdOptions {
   /// EM stops when the max absolute change of any log-parameter between
   /// consecutive iterations drops below this (paper uses 1e-5).
   double param_tolerance = 1e-5;
-  /// Gradient-ascent iterations per M-step.
-  int mstep_iterations = 25;
+  /// Block-Newton sweeps per M-step (each sweep steps the alpha, beta and
+  /// phi blocks once; see TCrowdMStep).
+  int mstep_iterations = 2;
 
   /// Whether to estimate per-row difficulties alpha_i / per-column
   /// difficulties beta_j (Section 4.2). Disabling both reduces the model to
@@ -73,7 +74,7 @@ struct TCrowdOptions {
   static TCrowdOptions Fast() {
     TCrowdOptions opt;
     opt.max_em_iterations = 12;
-    opt.mstep_iterations = 10;
+    opt.mstep_iterations = 1;
     opt.param_tolerance = 1e-3;
     opt.objective_tolerance = 0.05;
     return opt;
@@ -130,8 +131,8 @@ struct TCrowdState {
 /// The paper's unified truth-inference method (Algorithm 1): a single
 /// quality parameter per worker explains both categorical correctness and
 /// continuous precision; row/column difficulties modulate it per cell; EM
-/// alternates truth posteriors (E) and gradient ascent on
-/// {alpha, beta, phi} (M).
+/// alternates truth posteriors (E) and block-coordinate Newton ascent on
+/// {ln alpha, ln beta, ln phi} (M).
 class TCrowdModel : public TruthInference {
  public:
   explicit TCrowdModel(TCrowdOptions options = TCrowdOptions());
@@ -163,6 +164,12 @@ class TCrowdModel : public TruthInference {
   /// converged; pass executor = nullptr for a transient serial executor.
   TCrowdState Fit(const Schema& schema, const AnswerMatrixSnapshot& snapshot,
                   EmExecutor* executor) const;
+
+  /// The single-segment snapshot the AnswerSet overloads of Fit() run on:
+  /// standardization, worker registry and column mask computed over the
+  /// whole log.
+  AnswerMatrixSnapshot BatchSnapshot(const Schema& schema,
+                                     const AnswerSet& answers) const;
 
   /// Per-column participation mask implied by options().column_mask (all
   /// columns when the mask is empty). The engine builds its answer store

@@ -33,25 +33,13 @@ std::vector<CellRef> TaskRouter::Route(const Schema& schema,
                                        const AnswerSet& answers,
                                        WorkerId worker, int k,
                                        const std::vector<CellRef>& unavailable) {
-  std::vector<CellRef> picked;
-  if (k <= 0) return picked;
+  if (k <= 0) return {};
   if (!refreshed_once_ && !answers.empty()) {
     policy_->Refresh(schema, answers);
     refreshed_once_ = true;
   }
-  // `exclude` accumulates the unavailable cells plus this request's own
-  // picks, so the policy never hands the same cell out twice in one batch.
-  std::vector<CellRef> exclude = unavailable;
-  picked.reserve(k);
-  for (int n = 0; n < k; ++n) {
-    CellRef cell;
-    if (!policy_->SelectTaskExcluding(schema, answers, worker, exclude,
-                                      &cell)) {
-      break;
-    }
-    picked.push_back(cell);
-    exclude.push_back(cell);
-  }
+  std::vector<CellRef> picked =
+      policy_->SelectTasksExcluding(schema, answers, worker, unavailable, k);
   const size_t policy_picked = picked.size();
   if (static_cast<int>(picked.size()) < k &&
       options_.backfill != BackfillStrategy::kNone) {

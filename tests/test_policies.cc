@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <set>
@@ -193,6 +194,89 @@ TEST(StructureAwarePolicy, FallsBackToInherentWithoutRowHistory) {
     CellRef cell{i, 0};
     EXPECT_NEAR(policy.StructureGain(w.answers, fresh, cell),
                 inherent.Gain(w.answers, fresh, cell), 1e-9);
+  }
+}
+
+/// Reference greedy top-k: k rounds of std::max_element (the first
+/// of the maxima) over the candidates left after excluding the earlier
+/// picks, each round scoring every candidate afresh.
+std::vector<CellRef> RepeatedExclusion(
+    const AnswerSet& answers, WorkerId worker, std::vector<CellRef> exclude,
+    int k, const std::function<double(CellRef)>& score) {
+  std::vector<CellRef> picked;
+  for (int n = 0; n < k; ++n) {
+    std::vector<CellRef> candidates = CandidateCells(answers, worker, exclude);
+    if (candidates.empty()) break;
+    std::vector<double> scores;
+    for (const CellRef& c : candidates) scores.push_back(score(c));
+    CellRef best = candidates[std::max_element(scores.begin(), scores.end()) -
+                              scores.begin()];
+    picked.push_back(best);
+    exclude.push_back(best);
+  }
+  return picked;
+}
+
+TEST(GainPolicies, TopKMatchesRepeatedExclusionIncludingTies) {
+  struct Spec {
+    const char* label;
+    std::function<std::unique_ptr<InherentGainPolicy>()> make;
+  };
+  const Spec specs[] = {
+      {"InherentGain",
+       [] { return std::make_unique<InherentGainPolicy>(FastOpts()); }},
+      {"InherentGain/4 threads",
+       [] { return std::make_unique<InherentGainPolicy>(FastOpts(), 4); }},
+      {"StructureAware",
+       [] { return std::make_unique<StructureAwarePolicy>(FastOpts()); }},
+  };
+  for (uint64_t seed : {61u, 62u, 63u}) {
+    testing::SimWorld w(seed, 2);
+    const Schema& schema = w.world.schema;
+    // The bottom half of the table has no answers, so its cells tie within
+    // each column: the top-k order must break those ties as repeated
+    // exclusion does (row-major).
+    const int rows = w.answers.num_rows();
+    const int cols = w.answers.num_cols();
+    AnswerSet answers(rows, cols);
+    for (const Answer& a : w.answers.answers()) {
+      if (a.cell.row < rows / 2) answers.Add(a);
+    }
+    for (const Spec& spec : specs) {
+      auto policy = spec.make();
+      policy->Refresh(schema, answers);
+      auto* structure = dynamic_cast<StructureAwarePolicy*>(policy.get());
+      auto score = [&](WorkerId u, CellRef c) {
+        return structure != nullptr ? structure->StructureGain(answers, u, c)
+                                    : policy->Gain(answers, u, c);
+      };
+      std::vector<WorkerId> workers = answers.Workers();
+      workers.push_back(5555);  // a worker with no history
+      Rng rng(seed);
+      int tied_neighbours = 0;
+      for (WorkerId u : workers) {
+        std::vector<CellRef> exclude;
+        for (int i = 0; i < rows; ++i) {
+          for (int j = 0; j < cols; ++j) {
+            if (rng.Bernoulli(0.1)) exclude.push_back(CellRef{i, j});
+          }
+        }
+        int k = rng.UniformInt(1, 12);
+        std::vector<CellRef> top =
+            policy->SelectTasksExcluding(schema, answers, u, exclude, k);
+        std::vector<CellRef> repeated = RepeatedExclusion(
+            answers, u, exclude, k, [&](CellRef c) { return score(u, c); });
+        ASSERT_EQ(top.size(), repeated.size()) << spec.label << " worker " << u;
+        for (size_t n = 0; n < top.size(); ++n) {
+          EXPECT_EQ(top[n], repeated[n])
+              << spec.label << " worker " << u << " pick " << n;
+          if (n > 0 && score(u, top[n]) == score(u, top[n - 1])) {
+            ++tied_neighbours;
+          }
+        }
+      }
+      EXPECT_GT(tied_neighbours, 0) << spec.label << ": no tie was exercised";
+    }
   }
 }
 

@@ -42,8 +42,10 @@ phase1_flags="$load_flags --arrivals=20"
 wait_port() { # <log> <pid>
   _tries=0
   while :; do
+    # The backgrounded daemon's shell may not have created the log yet.
     _port=$(sed -n \
-      's/^tcrowd_serverd listening on [^:]*:\([0-9][0-9]*\) .*/\1/p' "$1")
+      's/^tcrowd_serverd listening on [^:]*:\([0-9][0-9]*\) .*/\1/p' \
+      "$1" 2>/dev/null || true)
     if [ -n "$_port" ]; then
       echo "$_port"
       return 0

@@ -35,9 +35,10 @@ pid=$!
 port=""
 tries=0
 while [ -z "$port" ]; do
+  # The backgrounded daemon's shell may not have created the log yet.
   port=$(sed -n \
     's/^tcrowd_serverd listening on [^:]*:\([0-9][0-9]*\) .*/\1/p' \
-    "$out/serverd.log")
+    "$out/serverd.log" 2>/dev/null || true)
   [ -n "$port" ] && break
   tries=$((tries + 1))
   if [ "$tries" -gt 100 ] || ! kill -0 "$pid" 2>/dev/null; then
