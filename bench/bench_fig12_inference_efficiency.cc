@@ -8,12 +8,18 @@
 //     are far faster but the LINEAR scaling is the claim under test).
 //     Wall-clock timing; `em_iterations` shows whether a fit converged or
 //     stopped at the iteration cap.
+//
+// BM_RefreshWarmStart is the online counterpart: the latency of one
+// engine refresh fit (TCrowdOptions::Fast(), 2 EM shards) over a history
+// of N answers, cold or warm-started from the fit 64 answers earlier.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <memory>
 
+#include "inference/answer_segment.h"
+#include "inference/em_executor.h"
 #include "inference/tcrowd_model.h"
 #include "simulation/dataset_synthesizer.h"
 #include "simulation/table_generator.h"
@@ -79,6 +85,36 @@ void BM_TruthInference(benchmark::State& state) {
       benchmark::Counter::kIsIterationInvariantRate);
 }
 
+void BM_RefreshWarmStart(benchmark::State& state) {
+  const int num_answers = static_cast<int>(state.range(0));
+  const bool warm_start = state.range(1) != 0;
+  auto world = WorldWithAnswers(num_answers);
+  const Schema& schema = world->dataset.schema;
+  const AnswerSet& answers = world->dataset.answers;
+  constexpr int kRefreshEvery = 64;  // the engine's default staleness
+  AnswerSet earlier(answers.num_rows(), answers.num_cols());
+  for (size_t k = 0; k + kRefreshEvery < answers.size(); ++k) {
+    earlier.Add(answers.answer(static_cast<int>(k)));
+  }
+
+  TCrowdModel model(TCrowdOptions::Fast());
+  EmExecutor executor(2);
+  TCrowdWarmStart warm =
+      TCrowdWarmStart::From(model.Fit(schema, earlier, &executor));
+  // The snapshot is built outside the timed loop: an engine refresh seals
+  // only its new tail and streams the already-sealed segments.
+  AnswerMatrixSnapshot snapshot = model.BatchSnapshot(schema, answers);
+  int em_iterations = 0;
+  for (auto _ : state) {
+    TCrowdState fit = model.Fit(schema, snapshot, &executor,
+                                warm_start ? &warm : nullptr);
+    em_iterations = fit.em_iterations;
+    benchmark::DoNotOptimize(fit.em_iterations);
+  }
+  state.counters["answers"] = static_cast<double>(answers.size());
+  state.counters["em_iterations"] = em_iterations;
+}
+
 }  // namespace
 
 // (b) swept over answers and over TCrowdOptions::num_threads, which shards
@@ -86,6 +122,12 @@ void BM_TruthInference(benchmark::State& state) {
 BENCHMARK(BM_TruthInference)
     ->ArgsProduct({{1000, 5000, 10000, 50000}, {1, 2, 4}})
     ->ArgNames({"answers", "threads"})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+BENCHMARK(BM_RefreshWarmStart)
+    ->ArgsProduct({{10000, 50000, 200000}, {0, 1}})
+    ->ArgNames({"answers", "warm"})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

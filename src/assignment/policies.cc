@@ -81,8 +81,23 @@ void ApplyIncrementalAnswer(const Answer& answer, TCrowdState* state) {
   }
 }
 
+namespace {
+
+/// The T-Crowd policies' refit: a cold fit when `previous` is null (the
+/// first fit), else a fit warm-started from `previous`'s alpha/beta/phi.
+/// The chain of refits is deterministic for a given answer sequence and
+/// refresh cadence.
+TCrowdState WarmRefit(const TCrowdModel& model, const Schema& schema,
+                      const AnswerSet& answers, const TCrowdState* previous) {
+  if (previous == nullptr) return model.Fit(schema, answers);
+  TCrowdWarmStart warm = TCrowdWarmStart::From(*previous);
+  return model.Fit(schema, answers, nullptr, &warm);
+}
+
+}  // namespace
+
 void EntropyPolicy::Refresh(const Schema& schema, const AnswerSet& answers) {
-  state_ = model_.Fit(schema, answers);
+  state_ = WarmRefit(model_, schema, answers, fitted_ ? &state_ : nullptr);
   fitted_ = true;
 }
 
@@ -118,7 +133,7 @@ bool EntropyPolicy::SelectTaskExcluding(const Schema& schema,
 
 void InherentGainPolicy::Refresh(const Schema& schema,
                                  const AnswerSet& answers) {
-  state_ = model_.Fit(schema, answers);
+  state_ = WarmRefit(model_, schema, answers, fitted_ ? &state_ : nullptr);
   fitted_ = true;
 }
 

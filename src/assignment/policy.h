@@ -22,7 +22,11 @@ class AssignmentPolicy {
 
   virtual std::string name() const = 0;
 
-  /// Re-synchronizes internal state with the (grown) answer set.
+  /// Re-synchronizes internal state with the (grown) answer set. The
+  /// T-Crowd policies refit their model here; every refit after the first
+  /// is warm-started from the previous fit's parameters, so the result
+  /// depends on the sequence of Refresh() calls, not just on the final
+  /// answer set.
   virtual void Refresh(const Schema& schema, const AnswerSet& answers) = 0;
 
   /// Cheap incremental update after one new answer (the paper's

@@ -86,6 +86,15 @@ double TCrowdState::StdPosteriorVariance(int row, int col) const {
   return post.variance / (scale * scale);
 }
 
+TCrowdWarmStart TCrowdWarmStart::From(const TCrowdState& state) {
+  TCrowdWarmStart warm;
+  warm.row_difficulty = state.row_difficulty;
+  warm.col_difficulty = state.col_difficulty;
+  warm.worker_phi = state.worker_phi;
+  warm.default_phi = state.default_phi;
+  return warm;
+}
+
 TCrowdModel::TCrowdModel(TCrowdOptions options)
     : options_(std::move(options)) {}
 
@@ -164,7 +173,10 @@ void RunEStep(const Schema& schema, const AnswerMatrixSnapshot& snap,
         post.probs.clear();
       } else {
         int L = col.num_labels();
-        std::vector<double> log_p(L, 0.0);  // uniform prior cancels
+        // Accumulated in place: after the first iteration the cell's
+        // probability vector already has the capacity, so no allocation.
+        std::vector<double>& log_p = post.probs;
+        log_p.assign(L, 0.0);  // uniform prior cancels
         for (SegRowCursor& c : cur) {
           const int32_t* ccol = c.seg->cm_col();
           const int32_t* cworker = c.seg->cm_worker();
@@ -181,7 +193,6 @@ void RunEStep(const Schema& schema, const AnswerMatrixSnapshot& snap,
           }
         }
         math::SoftmaxInPlace(&log_p);
-        post.probs = std::move(log_p);
       }
     }
   };
@@ -205,6 +216,7 @@ double ObservedLogLikelihood(const Schema& schema,
   int cols = state.num_cols;
   std::vector<SegRowCursor> cur;
   cur.reserve(snap.segments.size());
+  std::vector<double> log_p;  // per-cell scratch, reused across cells
   for (int i = 0; i < rows; ++i) {
     CollectRowCursors(snap, i, &cur);
     for (int j = 0; j < cols; ++j) {
@@ -238,7 +250,7 @@ double ObservedLogLikelihood(const Schema& schema,
         }
       } else {
         int L = col.num_labels();
-        std::vector<double> log_p(L, -std::log(static_cast<double>(L)));
+        log_p.assign(L, -std::log(static_cast<double>(L)));
         for (SegRowCursor& c : cur) {
           const int32_t* ccol = c.seg->cm_col();
           const int32_t* cworker = c.seg->cm_worker();
@@ -292,8 +304,9 @@ TCrowdState TCrowdModel::Fit(const Schema& schema,
 }
 
 TCrowdState TCrowdModel::Fit(const Schema& schema, const AnswerSet& answers,
-                             EmExecutor* executor) const {
-  return Fit(schema, BatchSnapshot(schema, answers), executor);
+                             EmExecutor* executor,
+                             const TCrowdWarmStart* warm) const {
+  return Fit(schema, BatchSnapshot(schema, answers), executor, warm);
 }
 
 AnswerMatrixSnapshot TCrowdModel::BatchSnapshot(
@@ -330,7 +343,8 @@ AnswerMatrixSnapshot TCrowdModel::BatchSnapshot(
 
 TCrowdState TCrowdModel::Fit(const Schema& schema,
                              const AnswerMatrixSnapshot& snap,
-                             EmExecutor* executor) const {
+                             EmExecutor* executor,
+                             const TCrowdWarmStart* warm) const {
   TCROWD_CHECK(schema.num_columns() == snap.num_cols)
       << "schema/snapshot column mismatch";
   TCrowdState state;
@@ -357,8 +371,32 @@ TCrowdState TCrowdModel::Fit(const Schema& schema,
   layout.with_beta = options_.estimate_col_difficulty;
 
   std::vector<double> params(layout.size(), 0.0);
-  for (int w = 0; w < layout.num_workers; ++w) {
-    params[layout.phi_offset() + w] = std::log(options_.initial_phi);
+  if (warm == nullptr) {
+    for (int w = 0; w < layout.num_workers; ++w) {
+      params[layout.phi_offset() + w] = std::log(options_.initial_phi);
+    }
+  } else {
+    TCROWD_CHECK(warm->row_difficulty.size() ==
+                     static_cast<size_t>(layout.num_rows) &&
+                 warm->col_difficulty.size() ==
+                     static_cast<size_t>(layout.num_cols))
+        << "warm start describes a table of another shape";
+    if (layout.with_alpha) {
+      for (int i = 0; i < layout.num_rows; ++i) {
+        params[layout.alpha_offset() + i] =
+            std::log(warm->row_difficulty[i]);
+      }
+    }
+    if (layout.with_beta) {
+      for (int j = 0; j < layout.num_cols; ++j) {
+        params[layout.beta_offset() + j] = std::log(warm->col_difficulty[j]);
+      }
+    }
+    for (int w = 0; w < layout.num_workers; ++w) {
+      auto it = warm->worker_phi.find(snap.worker_ids[w]);
+      params[layout.phi_offset() + w] = std::log(
+          it != warm->worker_phi.end() ? it->second : warm->default_phi);
+    }
   }
 
   // A caller-provided executor carries the persistent pool and scratch; the
@@ -373,8 +411,9 @@ TCrowdState TCrowdModel::Fit(const Schema& schema,
   ExpParams xp;
   xp.Refresh(layout, params);
 
-  // Initial E-step with neutral difficulties and uniform worker quality
-  // (equivalent to frequency/mean-based initialization).
+  // Initial E-step: cold, with neutral difficulties and uniform worker
+  // quality (equivalent to frequency/mean-based initialization); warm, at
+  // the earlier fit's parameters.
   RunEStep(schema, snap, xp, executor, &state);
 
   TCrowdMStep mstep(snap, state, layout, executor);

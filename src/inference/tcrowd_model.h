@@ -128,6 +128,19 @@ struct TCrowdState {
   double StdPosteriorVariance(int row, int col) const;
 };
 
+/// The fitted parameters an online refit starts from: alpha_i, beta_j and
+/// phi_u of an earlier fit of the same table. A small value type so a
+/// caller can copy it out of a shared state under a lock and fit unlocked.
+struct TCrowdWarmStart {
+  std::vector<double> row_difficulty;
+  std::vector<double> col_difficulty;
+  std::unordered_map<WorkerId, double> worker_phi;
+  /// Starting phi_u for workers the earlier fit never saw.
+  double default_phi = 0.5;
+
+  static TCrowdWarmStart From(const TCrowdState& state);
+};
+
 /// The paper's unified truth-inference method (Algorithm 1): a single
 /// quality parameter per worker explains both categorical correctness and
 /// continuous precision; row/column difficulties modulate it per cell; EM
@@ -150,9 +163,11 @@ class TCrowdModel : public TruthInference {
   /// refreshes so no fit ever spawns threads). The executor's shard count
   /// overrides options().num_threads; pass nullptr for the transient
   /// behavior of the two-argument overload. Blocks until converged; the
-  /// executor must not be driven by another fit concurrently.
+  /// executor must not be driven by another fit concurrently. `warm` as in
+  /// the snapshot overload.
   TCrowdState Fit(const Schema& schema, const AnswerSet& answers,
-                  EmExecutor* executor) const;
+                  EmExecutor* executor,
+                  const TCrowdWarmStart* warm = nullptr) const;
 
   /// Full fit streaming a segmented answer snapshot (the online serving
   /// path: the engine's SegmentedAnswerStore seals a segment per refresh
@@ -162,8 +177,18 @@ class TCrowdModel : public TruthInference {
   /// the same answers. The snapshot's standardization epoch and column mask
   /// are used as-is; the mask must match this model's options. Blocks until
   /// converged; pass executor = nullptr for a transient serial executor.
+  ///
+  /// With `warm` null the EM starts cold (alpha = beta = 1, phi_u =
+  /// options().initial_phi). Otherwise it starts from `warm`: ln alpha,
+  /// ln beta and the known workers' ln phi are taken from it, new workers
+  /// start at warm->default_phi, and the first E-step runs at those
+  /// parameters. The objective is unchanged (the phi prior stays centered
+  /// on initial_phi); only the starting point moves, so a refit after a
+  /// few new answers converges in a few iterations. `warm` must describe a
+  /// table of the same shape.
   TCrowdState Fit(const Schema& schema, const AnswerMatrixSnapshot& snapshot,
-                  EmExecutor* executor) const;
+                  EmExecutor* executor,
+                  const TCrowdWarmStart* warm = nullptr) const;
 
   /// The single-segment snapshot the AnswerSet overloads of Fit() run on:
   /// standardization, worker registry and column mask computed over the

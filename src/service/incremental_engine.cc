@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <optional>
 #include <utility>
 
 #include "assignment/policies.h"
@@ -338,6 +339,9 @@ void IncrementalInferenceEngine::RequestRefresh() {
 void IncrementalInferenceEngine::RunRefresh() {
   while (true) {
     AnswerMatrixSnapshot snapshot;
+    // Parameters of the installed fit, copied while the snapshot is taken:
+    // state_ is rewritten under mu_ while the fit below runs unlocked.
+    std::optional<TCrowdWarmStart> warm;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (shutdown_) {
@@ -355,6 +359,7 @@ void IncrementalInferenceEngine::RunRefresh() {
       // Checkpoint-on-seal: the newly sealed slice goes to disk exactly
       // once, while it is still O(answers since the last refresh).
       PersistSealedLocked();
+      if (fitted_ && tcrowd_path_) warm = TCrowdWarmStart::From(state_);
       TCROWD_TRACE(kSeal, kInfo, "refresh seal", snapshot_size_,
                    static_cast<uint64_t>(refresh_count_));
       if (args_.recorder != nullptr) {
@@ -372,8 +377,11 @@ void IncrementalInferenceEngine::RunRefresh() {
     bool fit_ok = true;
     try {
       if (tcrowd_path_) {
-        fresh_state =
-            MakeTCrowdModel().Fit(schema_, snapshot, executor_.get());
+        // Warm-started from the last refresh (cold for the first fit):
+        // a refresh re-converges after a few dozen new answers, not from
+        // scratch. Finalize() stays a cold fit.
+        fresh_state = MakeTCrowdModel().Fit(schema_, snapshot, executor_.get(),
+                                            warm ? &*warm : nullptr);
       } else {
         // Baseline methods consume plain AnswerSets; materializing from the
         // immutable snapshot needs no lock. O(total), but confined to the

@@ -98,9 +98,11 @@ struct InferenceArgs {
 ///
 /// Refreshes run the exact same hot loop as the batch TCrowdModel (both fit
 /// through the segmented snapshot + EmExecutor), on a persistent executor
-/// owned by this engine, so no refresh ever pays thread start-up. Refresh
-/// requests arriving while a refresh is running coalesce into exactly one
-/// follow-up refresh.
+/// owned by this engine, so no refresh ever pays thread start-up. Every
+/// refresh after the first starts the EM from the installed fit's
+/// alpha/beta/phi (TCrowdWarmStart) instead of the neutral initialization;
+/// Finalize() stays a cold batch fit. Refresh requests arriving while a
+/// refresh is running coalesce into exactly one follow-up refresh.
 ///
 /// Thread-safety: every public method may be called concurrently. Internal
 /// state is guarded by one engine mutex; the ingest queue has its own
@@ -233,8 +235,9 @@ class IncrementalInferenceEngine {
   /// Schedules (or runs inline) a refresh; `mu_` must be held. Sets the
   /// coalescing flag instead when a refresh is already in flight.
   void ScheduleRefreshLocked(bool* run_inline);
-  /// The refresh body: seal + segment-pointer snapshot, fit, install,
-  /// replay the tail; loops while coalesced requests are pending.
+  /// The refresh body: seal + segment-pointer snapshot (and a copy of the
+  /// installed parameters to warm-start from), fit, install, replay the
+  /// tail; loops while coalesced requests are pending.
   void RunRefresh();
   /// Staleness predicate; `mu_` must be held.
   bool StaleLocked() const;

@@ -55,7 +55,9 @@ class TaskRouter {
 
   /// Feeds one accepted answer back into the policy (Observe), re-fitting it
   /// on the configured cadence — the refit runs inline on the caller's
-  /// thread, so every refresh_every_answers-th call is expensive.
+  /// thread, so every refresh_every_answers-th call is expensive. The
+  /// policy warm-starts each refit from the previous one, so that cost is
+  /// a few EM iterations rather than a cold convergence.
   void OnAnswer(const Schema& schema, const AnswerSet& answers,
                 const Answer& answer);
 

@@ -117,7 +117,8 @@ the checkpoint, and drive the remainder to completion.
 serve-sim observability (docs/OBSERVABILITY.md): --record=FILE writes the
 deterministic event log (a crash drill records phase 1 to FILE.crash, the
 post-restart run to FILE); `replay` re-drives it and exits non-zero on any
-divergence. --metrics-out=FILE re-exports Prometheus text metrics every
+divergence. Replay fits at the recorded --threads; its own --threads sizes
+only the service pool. --metrics-out=FILE re-exports Prometheus text metrics every
 --metrics-interval-ms (default 1000) and at exit. --trace tunes the
 always-on trace ring (debug enables per-answer events).
 
@@ -874,17 +875,20 @@ int CmdReplay(const FlagParser& flags) {
   service::ServiceConfig config;
   config.target_answers_per_task =
       std::atoi(recipe_get("target", "4").c_str());
-  // --threads overrides the recorded count: replay determinism must not
-  // depend on it (leases come from the log, not the router), and the
-  // determinism tests drive exactly this override.
-  config.num_threads =
-      flags.Has("threads")
-          ? static_cast<int>(flags.GetInt("threads", 2))
-          : std::atoi(recipe_get("threads", "2").c_str());
+  // The EM runs at the recorded shard count: sharded passes agree only to
+  // reduction order, so above EmExecutor::kMinItemsForSharding answers the
+  // Finalize digest depends on it. --threads overrides only the service
+  // pool — replay determinism must not depend on it (leases come from the
+  // log, not the router), and the determinism tests drive exactly this
+  // override.
+  const int recorded_threads = std::atoi(recipe_get("threads", "2").c_str());
+  config.num_threads = flags.Has("threads")
+                           ? static_cast<int>(flags.GetInt("threads", 2))
+                           : recorded_threads;
   config.inference.method = recipe_get("engine", "tcrowd");
   config.inference.staleness_threshold =
       std::atoi(recipe_get("staleness", "64").c_str());
-  config.inference.num_shards = config.num_threads;
+  config.inference.num_shards = recorded_threads;
   config.router.seed = seed + 2;
 
   const std::string policy_name =
