@@ -1,6 +1,6 @@
 #include "common/flags.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/string_util.h"
 
@@ -39,19 +39,16 @@ Status FlagParser::Parse(int argc, const char* const* argv) {
 }
 
 bool FlagParser::Has(const std::string& name) const {
-  queried_[name] = true;
   return flags_.count(name) > 0;
 }
 
 std::string FlagParser::GetString(const std::string& name,
                                   const std::string& fallback) const {
-  queried_[name] = true;
   auto it = flags_.find(name);
   return it != flags_.end() ? it->second : fallback;
 }
 
 int64_t FlagParser::GetInt(const std::string& name, int64_t fallback) const {
-  queried_[name] = true;
   auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
   auto parsed = ParseInt(it->second);
@@ -59,7 +56,6 @@ int64_t FlagParser::GetInt(const std::string& name, int64_t fallback) const {
 }
 
 double FlagParser::GetDouble(const std::string& name, double fallback) const {
-  queried_[name] = true;
   auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
   auto parsed = ParseDouble(it->second);
@@ -67,21 +63,12 @@ double FlagParser::GetDouble(const std::string& name, double fallback) const {
 }
 
 bool FlagParser::GetBool(const std::string& name, bool fallback) const {
-  queried_[name] = true;
   auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
   const std::string& v = it->second;
   if (v == "true" || v == "1" || v == "yes") return true;
   if (v == "false" || v == "0" || v == "no") return false;
   return fallback;
-}
-
-std::vector<std::string> FlagParser::UnqueriedFlags() const {
-  std::vector<std::string> out;
-  for (const auto& [name, value] : flags_) {
-    if (!queried_.count(name)) out.push_back(name);
-  }
-  return out;
 }
 
 }  // namespace tcrowd

@@ -33,14 +33,9 @@ class FlagParser {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
-  /// Names of flags the caller never queried — useful for catching typos.
-  /// (Tracked per Get*/Has call.)
-  std::vector<std::string> UnqueriedFlags() const;
-
  private:
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
-  mutable std::map<std::string, bool> queried_;
 };
 
 }  // namespace tcrowd

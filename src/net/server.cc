@@ -1,13 +1,10 @@
 #include "net/server.h"
 
 #include <errno.h>
-#include <poll.h>
 #include <string.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
 
 #include <algorithm>
 #include <utility>
@@ -21,6 +18,8 @@ namespace {
 
 /// Longest HTTP request head we accept before dropping the connection.
 constexpr size_t kMaxHttpHead = 8u << 10;
+/// Listen backlog.
+constexpr int kListenBacklog = 128;
 
 std::string HttpResponse(int code, const char* reason,
                          const std::string& body,
@@ -62,7 +61,7 @@ Server::Server(service::ServingBackend* service, ServerOptions options)
     inflight_budget_ = options_.inflight_budget;
   } else if (options_.inflight_budget == 0) {
     inflight_budget_ =
-        static_cast<int64_t>(options_.inflight_budget_factor) *
+        static_cast<int64_t>(kInflightBudgetFactor) *
         std::max(1, service_->staleness_threshold());
   } else {
     inflight_budget_ = -1;  // shedding disabled
@@ -72,7 +71,7 @@ Server::Server(service::ServingBackend* service, ServerOptions options)
 Server::~Server() = default;
 
 Status Server::Listen(const std::string& host, uint16_t port) {
-  Status st = ListenTcp(host, port, options_.backlog, &listen_fd_, &port_);
+  Status st = ListenTcp(host, port, kListenBacklog, &listen_fd_, &port_);
   if (!st.ok()) return st;
   int pipefd[2];
   if (::pipe(pipefd) != 0) {
@@ -133,6 +132,13 @@ void Server::AcceptPending() {
     conn->fd = OwnedFd(fd);
     if (!SetNonBlocking(fd).ok()) continue;  // conn closes fd on scope exit
     (void)SetNoDelay(fd);  // best-effort; latency tweak only
+    epoll_event ev;
+    memset(&ev, 0, sizeof(ev));
+    ev.events = EPOLLIN;
+    ev.data.fd = fd;
+    if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, fd, &ev) != 0) {
+      continue;  // conn closes fd on scope exit
+    }
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.connections_accepted;
@@ -382,7 +388,7 @@ bool Server::Dispatch(Connection* conn, const Frame& frame) {
 
 bool Server::ServeFrames(Connection* conn) {
   conn->more_frames = false;
-  for (int served = 0; served < options_.max_frames_per_wake; ++served) {
+  for (int served = 0; served < kMaxFramesPerWake; ++served) {
     if (paused(*conn)) {
       // Queue past the high watermark: hold remaining frames buffered
       // until the peer drains what it already owes us.
@@ -505,114 +511,33 @@ bool Server::HandleReadable(Connection* conn) {
   }
 }
 
-Status Server::Run() {
-  if (!listen_fd_.valid()) {
-    return Status::FailedPrecondition("Listen() must succeed before Run()");
-  }
-  running_.store(true, std::memory_order_release);
-  Status st;
-#ifdef __linux__
-  if (!options_.force_poll) {
-    st = RunEpoll();
-  } else {
-    st = RunPoll();
-  }
-#else
-  st = RunPoll();
-#endif
-  connections_.clear();
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.connections_open = 0;
-  }
-  running_.store(false, std::memory_order_release);
-  return st;
-}
-
-Status Server::RunPoll() {
-  std::vector<pollfd> fds;
-  std::vector<int> order;  ///< fds[i + 2] belongs to connection order[i]
-  while (!stop_.load(std::memory_order_acquire)) {
-    fds.clear();
-    order.clear();
-    fds.push_back({listen_fd_.get(), POLLIN, 0});
-    fds.push_back({wake_read_.get(), POLLIN, 0});
-    bool backlog = false;
-    for (auto& [fd, conn] : connections_) {
-      short events = 0;
-      if (!paused(*conn) && !conn->close_after_flush) events |= POLLIN;
-      if (wants_write(*conn)) events |= POLLOUT;
-      fds.push_back({fd, events, 0});
-      order.push_back(fd);
-      if (conn->more_frames && !paused(*conn)) backlog = true;
-    }
-    int rc = ::poll(fds.data(), fds.size(), backlog ? 0 : -1);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(std::string("poll: ") + strerror(errno));
-    }
-    if ((fds[1].revents & POLLIN) != 0) {
-      char drain[64];
-      while (::read(wake_read_.get(), drain, sizeof(drain)) > 0) {
-      }
-    }
-    if (stop_.load(std::memory_order_acquire)) break;
-    if ((fds[0].revents & POLLIN) != 0) AcceptPending();
-    std::vector<int> dead;
-    for (size_t i = 0; i < order.size(); ++i) {
-      auto it = connections_.find(order[i]);
-      if (it == connections_.end()) continue;
-      Connection* conn = it->second.get();
-      short revents = fds[i + 2].revents;
-      bool alive = true;
-      if ((revents & (POLLERR | POLLHUP | POLLNVAL)) != 0 &&
-          (revents & POLLIN) == 0 && !wants_write(*conn)) {
-        alive = false;
-      }
-      if (alive && (revents & POLLOUT) != 0) alive = HandleWritable(conn);
-      if (alive && (revents & (POLLIN | POLLHUP)) != 0) {
-        alive = HandleReadable(conn);
-      }
-      // Serve frames left buffered by the fairness cap or a lifted pause.
-      if (alive && conn->more_frames && !paused(*conn)) {
-        alive = ServeFrames(conn);
-      }
-      if (alive && conn->close_after_flush && !wants_write(*conn)) {
-        alive = false;
-      }
-      if (!alive) dead.push_back(order[i]);
-    }
-    for (int fd : dead) CloseConnection(fd);
-  }
-  return Status::Ok();
-}
-
-#ifdef __linux__
-void Server::UpdateEpoll(int epfd, Connection* conn) {
+void Server::UpdateEpoll(Connection* conn) {
   epoll_event ev;
   memset(&ev, 0, sizeof(ev));
   ev.data.fd = conn->fd.get();
   if (!paused(*conn) && !conn->close_after_flush) ev.events |= EPOLLIN;
   if (wants_write(*conn)) ev.events |= EPOLLOUT;
-  ::epoll_ctl(epfd, EPOLL_CTL_MOD, conn->fd.get(), &ev);
+  ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_MOD, conn->fd.get(), &ev);
 }
 
-Status Server::RunEpoll() {
-  OwnedFd epfd(::epoll_create1(0));
-  if (!epfd.valid()) {
+Status Server::Run() {
+  if (!listen_fd_.valid()) {
+    return Status::FailedPrecondition("Listen() must succeed before Run()");
+  }
+  epoll_fd_ = OwnedFd(::epoll_create1(0));
+  if (!epoll_fd_.valid()) {
     return Status::IoError(std::string("epoll_create1: ") + strerror(errno));
   }
   epoll_event ev;
   memset(&ev, 0, sizeof(ev));
   ev.events = EPOLLIN;
-  ev.data.fd = listen_fd_.get();
-  if (::epoll_ctl(epfd.get(), EPOLL_CTL_ADD, listen_fd_.get(), &ev) != 0) {
-    return Status::IoError(std::string("epoll_ctl: ") + strerror(errno));
+  for (int fd : {listen_fd_.get(), wake_read_.get()}) {
+    ev.data.fd = fd;
+    if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, fd, &ev) != 0) {
+      return Status::IoError(std::string("epoll_ctl: ") + strerror(errno));
+    }
   }
-  ev.data.fd = wake_read_.get();
-  if (::epoll_ctl(epfd.get(), EPOLL_CTL_ADD, wake_read_.get(), &ev) != 0) {
-    return Status::IoError(std::string("epoll_ctl: ") + strerror(errno));
-  }
+  Status st = Status::Ok();
   std::vector<epoll_event> events(128);
   while (!stop_.load(std::memory_order_acquire)) {
     bool backlog = false;
@@ -622,12 +547,13 @@ Status Server::RunEpoll() {
         break;
       }
     }
-    int rc = ::epoll_wait(epfd.get(), events.data(),
+    int rc = ::epoll_wait(epoll_fd_.get(), events.data(),
                           static_cast<int>(events.size()),
                           backlog ? 0 : -1);
     if (rc < 0) {
       if (errno == EINTR) continue;
-      return Status::IoError(std::string("epoll_wait: ") + strerror(errno));
+      st = Status::IoError(std::string("epoll_wait: ") + strerror(errno));
+      break;
     }
     if (stop_.load(std::memory_order_acquire)) break;
     std::vector<int> dead;
@@ -641,22 +567,7 @@ Status Server::RunEpoll() {
         continue;
       }
       if (fd == listen_fd_.get()) {
-        size_t before = connections_.size();
         AcceptPending();
-        if (connections_.size() > before) {
-          // Register the newcomers.
-          for (auto& [cfd, conn] : connections_) {
-            epoll_event add;
-            memset(&add, 0, sizeof(add));
-            add.events = EPOLLIN;
-            add.data.fd = cfd;
-            if (::epoll_ctl(epfd.get(), EPOLL_CTL_ADD, cfd, &add) != 0 &&
-                errno != EEXIST) {
-              dead.push_back(cfd);
-            }
-            (void)conn;
-          }
-        }
         continue;
       }
       auto it = connections_.find(fd);
@@ -677,7 +588,7 @@ Status Server::RunEpoll() {
       if (!alive) {
         dead.push_back(fd);
       } else {
-        UpdateEpoll(epfd.get(), conn);
+        UpdateEpoll(conn);
       }
     }
     // Frames left buffered by the fairness cap or a lifted pause: serve a
@@ -690,14 +601,18 @@ Status Server::RunEpoll() {
         } else if (conn->close_after_flush && !wants_write(*conn)) {
           dead.push_back(fd);
         } else {
-          UpdateEpoll(epfd.get(), conn.get());
+          UpdateEpoll(conn.get());
         }
       }
     }
     for (int fd : dead) CloseConnection(fd);
   }
-  return Status::Ok();
+  connections_.clear();
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    stats_.connections_open = 0;
+  }
+  return st;
 }
-#endif  // __linux__
 
 }  // namespace tcrowd::net

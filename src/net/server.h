@@ -15,12 +15,15 @@
 
 namespace tcrowd::net {
 
+/// Multiplier on InferenceArgs::staleness_threshold when the in-flight
+/// budget is derived (the shed point = this many un-refreshed answer
+/// batches).
+constexpr int kInflightBudgetFactor = 8;
+/// Fairness cap: max frames served per connection per event-loop wake, so
+/// a flooding connection with a full read buffer cannot starve its peers.
+constexpr int kMaxFramesPerWake = 16;
+
 struct ServerOptions {
-  /// Use poll() even when epoll is available — keeps the fallback path
-  /// exercised by the same tests that run the epoll path.
-  bool force_poll = false;
-  /// Listen backlog.
-  int backlog = 128;
   /// Per-connection write-queue high watermark (bytes). A connection whose
   /// queued responses exceed this stops being read (flow control) until the
   /// queue drains below half — so a slow reader's memory footprint is
@@ -28,14 +31,8 @@ struct ServerOptions {
   size_t write_queue_high = 256u << 10;
   /// Global admission-control budget: SubmitBatch requests are shed with
   /// RETRY_LATER while engine answers-since-refresh >= budget. 0 derives
-  /// inflight_budget_factor * staleness_threshold; < 0 disables shedding.
+  /// kInflightBudgetFactor * staleness_threshold; < 0 disables shedding.
   int64_t inflight_budget = 0;
-  /// Multiplier on InferenceArgs::staleness_threshold when the budget is
-  /// derived (the shed point = this many un-refreshed answer batches).
-  int inflight_budget_factor = 8;
-  /// Fairness: max frames served per connection per event-loop wake, so a
-  /// flooding connection with a full read buffer cannot starve its peers.
-  int max_frames_per_wake = 16;
 };
 
 /// Counters the event loop maintains; exported via Stats responses and
@@ -51,11 +48,11 @@ struct NetStats {
   uint64_t frame_errors = 0;
 };
 
-/// The tcrowd_serverd front-end: one thread, one event loop (epoll on
-/// Linux, poll() everywhere or under force_poll), many connections, every
-/// request dispatched onto the shared CrowdService. Because the loop is
-/// single-threaded, service calls happen in exactly the order frames
-/// complete — the property behind socket-mode determinism.
+/// The tcrowd_serverd front-end: one thread, one epoll event loop (Linux
+/// only), many connections, every request dispatched onto the shared
+/// CrowdService. Because the loop is single-threaded, service calls happen
+/// in exactly the order frames complete — the property behind socket-mode
+/// determinism.
 ///
 /// The same listener also answers plain-text HTTP: a connection whose first
 /// bytes are not the frame magic is sniffed, and `GET /metrics` returns the
@@ -93,6 +90,7 @@ class Server {
  private:
   struct Connection;
 
+  /// Accepts every pending connection and registers it with the epoll set.
   void AcceptPending();
   /// Reads and serves one connection; returns false when the connection
   /// must be closed.
@@ -112,12 +110,8 @@ class Server {
   bool wants_write(const Connection& conn) const;
   bool paused(const Connection& conn) const;
 
-  Status RunPoll();
-#ifdef __linux__
-  Status RunEpoll();
   /// Re-arms the epoll registration after queue/pause state changed.
-  void UpdateEpoll(int epfd, Connection* conn);
-#endif
+  void UpdateEpoll(Connection* conn);
 
   service::ServingBackend* const service_;
   const ServerOptions options_;
@@ -126,8 +120,8 @@ class Server {
   OwnedFd listen_fd_;
   uint16_t port_ = 0;
   OwnedFd wake_read_, wake_write_;  ///< self-pipe; Stop() writes one byte
+  OwnedFd epoll_fd_;                ///< created by Run()
   std::atomic<bool> stop_{false};
-  std::atomic<bool> running_{false};
 
   std::unordered_map<int, std::unique_ptr<Connection>> connections_;
   mutable std::mutex stats_mu_;

@@ -104,6 +104,26 @@ Status StatusFromWire(net::WireStatus status, const char* what) {
   return Status::Internal(std::move(msg));
 }
 
+ServiceStats ServiceStatsFromWire(const net::StatsResponse& resp) {
+  ServiceStats stats;
+  stats.tasks_open = static_cast<int>(resp.tasks_open);
+  stats.tasks_assigned = static_cast<int>(resp.tasks_assigned);
+  stats.tasks_answered = static_cast<int>(resp.tasks_answered);
+  stats.tasks_finalized = static_cast<int>(resp.tasks_finalized);
+  stats.sessions_started = static_cast<int64_t>(resp.sessions_started);
+  stats.sessions_active = static_cast<int64_t>(resp.sessions_active);
+  stats.sessions_expired = static_cast<int64_t>(resp.sessions_expired);
+  stats.answers_accepted = static_cast<int64_t>(resp.answers_accepted);
+  stats.answers_rejected = static_cast<int64_t>(resp.answers_rejected);
+  stats.answers_retracted = static_cast<int64_t>(resp.answers_retracted);
+  stats.answers_restored = static_cast<int64_t>(resp.answers_restored);
+  stats.assignments = static_cast<int64_t>(resp.assignments);
+  stats.budget_spent = resp.budget_spent;
+  stats.budget_remaining = resp.budget_remaining;
+  stats.engine_refreshes = static_cast<int>(resp.engine_refreshes);
+  return stats;
+}
+
 // ---------------------------------------------------------------------------
 // RemoteShardBackend.
 
@@ -271,25 +291,9 @@ bool RemoteShardBackend::Drained() {
 }
 
 ServiceStats RemoteShardBackend::Stats() {
-  ServiceStats stats;
   net::StatsResponse resp;
-  if (!FetchStats(&resp).ok()) return stats;
-  stats.tasks_open = static_cast<int>(resp.tasks_open);
-  stats.tasks_assigned = static_cast<int>(resp.tasks_assigned);
-  stats.tasks_answered = static_cast<int>(resp.tasks_answered);
-  stats.tasks_finalized = static_cast<int>(resp.tasks_finalized);
-  stats.sessions_started = static_cast<int64_t>(resp.sessions_started);
-  stats.sessions_active = static_cast<int64_t>(resp.sessions_active);
-  stats.sessions_expired = static_cast<int64_t>(resp.sessions_expired);
-  stats.answers_accepted = static_cast<int64_t>(resp.answers_accepted);
-  stats.answers_rejected = static_cast<int64_t>(resp.answers_rejected);
-  stats.answers_retracted = static_cast<int64_t>(resp.answers_retracted);
-  stats.answers_restored = static_cast<int64_t>(resp.answers_restored);
-  stats.assignments = static_cast<int64_t>(resp.assignments);
-  stats.budget_spent = resp.budget_spent;
-  stats.budget_remaining = resp.budget_remaining;
-  stats.engine_refreshes = static_cast<int>(resp.engine_refreshes);
-  return stats;
+  if (!FetchStats(&resp).ok()) return ServiceStats{};
+  return ServiceStatsFromWire(resp);
 }
 
 int64_t RemoteShardBackend::answers_since_refresh() {

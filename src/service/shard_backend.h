@@ -97,6 +97,10 @@ ServiceConfig DeriveShardServiceConfig(const ServiceConfig& base,
 /// no StatusCode equivalent — surface as FailedPrecondition).
 Status StatusFromWire(net::WireStatus status, const char* what);
 
+/// The service ledger carried by a Stats response, back in ServiceStats
+/// form (the network-only fields are dropped).
+ServiceStats ServiceStatsFromWire(const net::StatsResponse& resp);
+
 /// Today's zero-copy topology: the shard is a CrowdService owned by this
 /// backend in the router's process.
 class LocalShardBackend : public ShardBackend {

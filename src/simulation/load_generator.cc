@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -11,6 +10,7 @@
 #include "inference/segment_codec.h"
 #include "net/client.h"
 #include "net/socket_util.h"
+#include "service/shard_backend.h"
 
 namespace tcrowd::sim {
 
@@ -33,7 +33,6 @@ LoadGenerator::LoadGenerator(CrowdSimulator* crowd,
   options_.max_arrivals = std::max(1, options_.max_arrivals);
   options_.tasks_per_request = std::max(1, options_.tasks_per_request);
   options_.batch_size = std::max(1, options_.batch_size);
-  options_.num_driver_threads = std::max(1, options_.num_driver_threads);
   options_.num_connections = std::max(1, options_.num_connections);
 }
 
@@ -57,14 +56,14 @@ void LoadGenerator::RunSocket(LoadReport* report) {
   const uint64_t local_fingerprint =
       SchemaFingerprint(crowd_->schema(), crowd_->truth().num_rows());
 
-  // Mirrors RunArrivalDeterministic frame for frame: same (seed, index)
-  // streams, same order-independent simulator calls, same per-arrival call
-  // shape (Hello ≡ StartSession, Lease ≡ RequestTasks, SubmitBatch pages,
-  // Bye ≡ EndSession) — the server's single-threaded loop then books the
+  // Mirrors RunArrival frame for frame: same (seed, index) streams, same
+  // order-independent simulator calls, same per-arrival call shape (Hello ≡
+  // StartSession, Lease ≡ RequestTasks, SubmitBatch pages, Bye ≡
+  // EndSession) — the server's single-threaded loop then books the
   // identical history the in-process run would have.
   bool drained = false;
   while (!drained) {
-    if (StopRequested()) break;
+    if (StopRequested(*report)) break;
     if (arrivals_issued_ >= options_.max_arrivals) break;
     int64_t index = arrivals_issued_++;
     Rng session_rng(
@@ -126,12 +125,11 @@ void LoadGenerator::RunSocket(LoadReport* report) {
         for (uint8_t code : verdicts.item_status) {
           if (code == static_cast<uint8_t>(net::WireStatus::kOk)) {
             ++report->answers;
-            answers_accepted_.fetch_add(1, std::memory_order_relaxed);
           } else {
             ++report->rejected;
           }
         }
-        if (StopRequested()) break;  // "crash": drop the unanswered leases
+        if (StopRequested(*report)) break;  // "crash": drop the leases left
       }
     }
     net::ByeResponse bye;
@@ -152,46 +150,11 @@ void LoadGenerator::RunSocket(LoadReport* report) {
     report->socket_status = st;
     return;
   }
-  report->final_stats.tasks_open = static_cast<int>(stats.tasks_open);
-  report->final_stats.tasks_assigned =
-      static_cast<int>(stats.tasks_assigned);
-  report->final_stats.tasks_answered =
-      static_cast<int>(stats.tasks_answered);
-  report->final_stats.tasks_finalized =
-      static_cast<int>(stats.tasks_finalized);
-  report->final_stats.sessions_started =
-      static_cast<int64_t>(stats.sessions_started);
-  report->final_stats.sessions_active =
-      static_cast<int64_t>(stats.sessions_active);
-  report->final_stats.sessions_expired =
-      static_cast<int64_t>(stats.sessions_expired);
-  report->final_stats.answers_accepted =
-      static_cast<int64_t>(stats.answers_accepted);
-  report->final_stats.answers_rejected =
-      static_cast<int64_t>(stats.answers_rejected);
-  report->final_stats.answers_retracted =
-      static_cast<int64_t>(stats.answers_retracted);
-  report->final_stats.answers_restored =
-      static_cast<int64_t>(stats.answers_restored);
-  report->final_stats.assignments = static_cast<int64_t>(stats.assignments);
-  report->final_stats.budget_spent = stats.budget_spent;
-  report->final_stats.budget_remaining = stats.budget_remaining;
-  report->final_stats.engine_refreshes =
-      static_cast<int>(stats.engine_refreshes);
+  report->final_stats = service::ServiceStatsFromWire(stats);
 }
 
-bool LoadGenerator::RunArrivalDeterministic(LoadReport* report) {
-  // The whole arrival runs under the generator lock, in arrival order, with
-  // a stream derived from (seed, arrival index) and only order-independent
-  // simulator calls — so the replayed history is a pure function of the
-  // options, never of thread interleaving. Driver threads beyond the first
-  // only help when the service does work off this thread (async refreshes
-  // already do); the REPLAYED HISTORY is identical either way.
-  std::lock_guard<std::mutex> lock(mu_);
-  // The stop check must happen under the lock: the accepted counter only
-  // moves in here, so the crash point lands on the same arrival no matter
-  // how many threads are racing for the lock.
-  if (StopRequested()) return false;
+bool LoadGenerator::RunArrival(LoadReport* report) {
+  if (StopRequested(*report)) return false;
   if (arrivals_issued_ >= options_.max_arrivals) return false;
   if (service_->Drained()) return false;
   int64_t index = arrivals_issued_++;
@@ -228,12 +191,11 @@ bool LoadGenerator::RunArrivalDeterministic(LoadReport* report) {
       for (const Status& st : statuses) {
         if (st.ok()) {
           ++report->answers;
-          answers_accepted_.fetch_add(1, std::memory_order_relaxed);
         } else {
           ++report->rejected;
         }
       }
-      if (StopRequested()) break;  // "crash": drop the unanswered leases
+      if (StopRequested(*report)) break;  // "crash": drop the leases left
     }
   } else {
     for (const CellRef& cell : tasks) {
@@ -241,140 +203,27 @@ bool LoadGenerator::RunArrivalDeterministic(LoadReport* report) {
       Status st = service_->SubmitAnswer(session, cell, value);
       if (st.ok()) {
         ++report->answers;
-        answers_accepted_.fetch_add(1, std::memory_order_relaxed);
       } else {
         ++report->rejected;
       }
-      if (StopRequested()) break;  // "crash": drop the unanswered leases
+      if (StopRequested(*report)) break;  // "crash": drop the leases left
     }
   }
   service_->EndSession(session);
   return true;
 }
 
-void LoadGenerator::DriveLoop(uint64_t seed, LoadReport* report) {
-  if (options_.deterministic) {
-    while (RunArrivalDeterministic(report)) {
-    }
-    return;
-  }
-  Rng rng(seed);
-  while (true) {
-    if (StopRequested()) return;
-    WorkerId worker;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (arrivals_issued_ >= options_.max_arrivals) return;
-      if (service_->Drained()) return;
-      ++arrivals_issued_;
-      worker = crowd_->NextWorker();
-    }
-    ++report->arrivals;
-
-    service::ServingBackend::SessionId session = service_->StartSession(worker);
-    std::vector<CellRef> tasks =
-        service_->RequestTasks(session, options_.tasks_per_request);
-    report->assignments += static_cast<int64_t>(tasks.size());
-
-    bool abandons = !tasks.empty() && rng.Bernoulli(options_.abandon_prob);
-    if (abandons) {
-      ++report->abandoned_sessions;
-    } else if (options_.batch_size > 1) {
-      // Batch replay: answer the whole lease page from the generative
-      // model, then submit it in batch_size chunks through the service's
-      // batched ingestion path.
-      std::vector<std::pair<CellRef, Value>> items;
-      items.reserve(tasks.size());
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (const CellRef& cell : tasks) {
-          items.emplace_back(cell, crowd_->Answer(worker, cell));
-        }
-      }
-      for (size_t lo = 0; lo < items.size();
-           lo += static_cast<size_t>(options_.batch_size)) {
-        size_t hi = std::min(items.size(),
-                             lo + static_cast<size_t>(options_.batch_size));
-        std::vector<std::pair<CellRef, Value>> page(items.begin() + lo,
-                                                    items.begin() + hi);
-        std::vector<Status> statuses =
-            service_->SubmitAnswerBatch(session, page);
-        ++report->batches;
-        for (const Status& st : statuses) {
-          if (st.ok()) {
-            ++report->answers;
-            answers_accepted_.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            ++report->rejected;
-          }
-        }
-        if (StopRequested()) break;  // "crash": drop the unanswered leases
-      }
-    } else {
-      for (const CellRef& cell : tasks) {
-        Value value;
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          value = crowd_->Answer(worker, cell);
-        }
-        Status st = service_->SubmitAnswer(session, cell, value);
-        if (st.ok()) {
-          ++report->answers;
-          answers_accepted_.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          ++report->rejected;
-        }
-        if (StopRequested()) break;  // "crash": drop the unanswered leases
-      }
-    }
-    service_->EndSession(session);
-  }
-}
-
 LoadReport LoadGenerator::Run() {
   LoadReport report;
   auto start = std::chrono::steady_clock::now();
-
   if (!options_.connect.empty()) {
-    // Socket mode: one driver thread serializes arrivals over the open
-    // connections (determinism requires a total order of arrivals).
     RunSocket(&report);
-    report.stopped_early = StopRequested();
-    std::chrono::duration<double> socket_elapsed =
-        std::chrono::steady_clock::now() - start;
-    report.wall_seconds = socket_elapsed.count();
-    report.answers_per_second =
-        report.wall_seconds > 0.0
-            ? static_cast<double>(report.answers) / report.wall_seconds
-            : 0.0;
-    return report;
-  }
-
-  int n = options_.num_driver_threads;
-  std::vector<LoadReport> partials(n);
-  if (n == 1) {
-    DriveLoop(options_.seed, &partials[0]);
   } else {
-    std::vector<std::thread> drivers;
-    drivers.reserve(n);
-    for (int t = 0; t < n; ++t) {
-      drivers.emplace_back([this, t, &partials] {
-        DriveLoop(options_.seed + 0x9e3779b97f4a7c15ull * (t + 1),
-                  &partials[t]);
-      });
+    while (RunArrival(&report)) {
     }
-    for (std::thread& d : drivers) d.join();
+    report.final_stats = service_->Stats();
   }
-
-  for (const LoadReport& p : partials) {
-    report.arrivals += p.arrivals;
-    report.assignments += p.assignments;
-    report.answers += p.answers;
-    report.rejected += p.rejected;
-    report.abandoned_sessions += p.abandoned_sessions;
-    report.batches += p.batches;
-  }
-  report.stopped_early = StopRequested();
+  report.stopped_early = StopRequested(report);
   std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;
   report.wall_seconds = elapsed.count();
@@ -382,7 +231,6 @@ LoadReport LoadGenerator::Run() {
       report.wall_seconds > 0.0
           ? static_cast<double>(report.answers) / report.wall_seconds
           : 0.0;
-  report.final_stats = service_->Stats();
   return report;
 }
 

@@ -1,9 +1,7 @@
 #ifndef TCROWD_SIMULATION_LOAD_GENERATOR_H_
 #define TCROWD_SIMULATION_LOAD_GENERATOR_H_
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 
 #include "net/client.h"
@@ -27,35 +25,26 @@ struct LoadGeneratorOptions {
   /// lock + one engine ingest pass per page); <= 1 replays per answer via
   /// SubmitAnswer.
   int batch_size = 1;
-  /// Concurrent driver threads replaying arrivals against the service.
-  int num_driver_threads = 1;
-  /// Kill/restart replay mode: > 0 stops the run (all driver threads) once
-  /// this many answers were accepted, leaving the service mid-flight — the
-  /// harness for simulated crashes (`serve-sim --crash-after=N`). A
-  /// restarted service gets a FRESH generator that drives the remainder.
-  /// <= 0 runs to drain as usual.
+  /// Kill/restart replay mode: > 0 stops the run once this many answers
+  /// were accepted, leaving the service mid-flight — the harness for
+  /// simulated crashes (`serve-sim --crash-after=N`). A restarted service
+  /// gets a FRESH generator that drives the remainder. <= 0 runs to drain
+  /// as usual.
   int64_t stop_after_answers = 0;
-  /// Deterministic replay (default): each whole arrival — session open,
-  /// leases, answers, close — runs serialized in arrival order, driven by a
-  /// session stream derived from (seed, arrival index) and the simulator's
-  /// order-independent AnswerWith() path, so the replayed history (and the
-  /// finalized truths) is bit-identical for ANY num_driver_threads. False
-  /// restores the racy mode where driver threads interleave service calls
-  /// freely (per-thread streams, shared lazy simulator draws) — the
-  /// contention-realistic setting for throughput measurements, at the cost
-  /// of run-to-run variation.
-  bool deterministic = true;
+  /// Every arrival's session stream is derived from (seed, arrival index),
+  /// and answers come from the simulator's order-independent AnswerWith()
+  /// path, so the replayed history (and the finalized truths) is a pure
+  /// function of the options.
   uint64_t seed = 7;
   /// Socket-driving mode: non-empty ("HOST:PORT") drives a remote
   /// tcrowd_serverd over the binary protocol (docs/PROTOCOL.md) instead of
-  /// calling the service in-process. The arrival pattern is the
-  /// deterministic one — whole arrivals serialized in index order, streams
-  /// derived from (seed, arrival index) — round-robined across
-  /// `num_connections` open connections by ONE driver thread, so the
-  /// server-observed call sequence (and therefore its event log) is a pure
-  /// function of the options, exactly like the in-process deterministic
-  /// mode. RETRY_LATER sheds are absorbed by the client's identical
-  /// resends and never change the accepted history.
+  /// calling the service in-process. The arrival pattern is the in-process
+  /// one — whole arrivals serialized in index order, streams derived from
+  /// (seed, arrival index) — round-robined across `num_connections` open
+  /// connections, so the server-observed call sequence (and therefore its
+  /// event log) is a pure function of the options. RETRY_LATER sheds are
+  /// absorbed by the client's identical resends and never change the
+  /// accepted history.
   std::string connect;
   /// Concurrent protocol connections in socket mode.
   int num_connections = 4;
@@ -84,11 +73,11 @@ struct LoadReport {
 };
 
 /// Replays a CrowdSimulator worker-arrival stream against a ServingBackend
-/// (single-engine CrowdService or multi-shard ShardRouter alike):
-/// every arrival opens a session, leases tasks, answers them from the
-/// simulator's generative model (or abandons), and closes the session. This
-/// is the harness that pushes hundreds of thousands of answer events
-/// through the online stack.
+/// (single-engine CrowdService or multi-shard ShardRouter alike): one
+/// thread runs the arrivals in index order, and every arrival opens a
+/// session, leases tasks, answers them from the simulator's generative
+/// model (or abandons), and closes the session. This is the harness that
+/// pushes hundreds of thousands of answer events through the online stack.
 class LoadGenerator {
  public:
   /// Both pointers are unowned and must outlive Run(). In socket mode
@@ -103,30 +92,24 @@ class LoadGenerator {
   LoadReport Run();
 
  private:
-  /// One driver thread's loop; shares the arrival budget with its peers.
-  void DriveLoop(uint64_t seed, LoadReport* report);
-  /// The socket-mode driver: serialized deterministic arrivals round-robin
-  /// over options_.num_connections protocol connections.
+  /// The socket-mode driver: the in-process arrivals, round-robin over
+  /// options_.num_connections protocol connections.
   void RunSocket(LoadReport* report);
-  /// One whole arrival under the generator lock (deterministic mode):
-  /// `session_rng` is the arrival's derived stream. Returns false when the
-  /// run is over (arrival budget exhausted or service drained).
-  bool RunArrivalDeterministic(LoadReport* report);
+  /// One whole in-process arrival, driven by the stream derived from
+  /// (seed, arrival index). Returns false when the run is over (arrival
+  /// budget exhausted, service drained or stop_after_answers reached).
+  bool RunArrival(LoadReport* report);
   /// True once the accepted-answer total hit stop_after_answers.
-  bool StopRequested() const {
+  bool StopRequested(const LoadReport& report) const {
     return options_.stop_after_answers > 0 &&
-           answers_accepted_.load(std::memory_order_relaxed) >=
-               options_.stop_after_answers;
+           report.answers >= options_.stop_after_answers;
   }
 
   CrowdSimulator* const crowd_;
   service::ServingBackend* const service_;
   LoadGeneratorOptions options_;
 
-  std::mutex mu_;  ///< guards crowd_ (the simulator is single-threaded)
   int64_t arrivals_issued_ = 0;
-  /// Accepted answers across all driver threads (the kill switch's meter).
-  std::atomic<int64_t> answers_accepted_{0};
 };
 
 }  // namespace tcrowd::sim

@@ -115,14 +115,6 @@ TEST(Flags, HasTracksPresence) {
   EXPECT_FALSE(p.Has("missing"));
 }
 
-TEST(Flags, UnqueriedFlagsDetected) {
-  auto p = ParseOk({"--used=1", "--typo=2"});
-  (void)p.GetInt("used");
-  auto unqueried = p.UnqueriedFlags();
-  ASSERT_EQ(unqueried.size(), 1u);
-  EXPECT_EQ(unqueried[0], "typo");
-}
-
 TEST(Flags, ValueWithEqualsSign) {
   auto p = ParseOk({"--expr=a=b"});
   EXPECT_EQ(p.GetString("expr"), "a=b");

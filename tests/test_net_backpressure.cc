@@ -257,12 +257,11 @@ TEST(NetBackpressure, NegativeBudgetDisablesShedding) {
 // connection's queued responses are bounded by the high watermark, and the
 // flood cannot starve the slow client's Finalize.
 
-void DriveSlowReaderAndFlood(bool force_poll) {
+TEST(NetBackpressure, SlowReaderBoundedAndFloodCannotStarve) {
   constexpr int kRequestsPerConn = 3500;
   constexpr size_t kQueueHigh = 2048;
 
   ServerOptions options;
-  options.force_poll = force_poll;
   options.write_queue_high = kQueueHigh;
   options.inflight_budget = -1;  // isolate flow control from admission
   ServerHarness harness(options, NoRefreshConfig());
@@ -346,14 +345,6 @@ void DriveSlowReaderAndFlood(bool force_poll) {
   EXPECT_LE(net.write_queue_peak, kQueueHigh + 4096u);
   EXPECT_GE(net.frames_processed,
             static_cast<uint64_t>(2 * kRequestsPerConn));
-}
-
-TEST(NetBackpressure, SlowReaderBoundedAndFloodCannotStarveEpoll) {
-  DriveSlowReaderAndFlood(/*force_poll=*/false);
-}
-
-TEST(NetBackpressure, SlowReaderBoundedAndFloodCannotStarvePoll) {
-  DriveSlowReaderAndFlood(/*force_poll=*/true);
 }
 
 }  // namespace

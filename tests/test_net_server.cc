@@ -1,10 +1,10 @@
-// The socket front-end end to end, against a live Server on a loopback
-// listener: the headline acceptance criterion is that a run driven over
-// real sockets (4 concurrent connections) finalizes to a truth digest
-// bit-identical to the same scenario replayed in-process — on BOTH event
-// loops (epoll and the poll() fallback). Also: session lifecycle over the
-// wire, the GET /metrics HTTP variant, and the rule that hostile bytes
-// drop one connection without taking the server down.
+// The socket front-end end to end, against a live Server (its epoll event
+// loop) on a loopback listener: the headline acceptance criterion is that a
+// run driven over real sockets (4 concurrent connections) finalizes to a
+// truth digest bit-identical to the same scenario replayed in-process.
+// Also: session lifecycle over the wire, the GET /metrics HTTP variant, and
+// the rule that hostile bytes drop one connection without taking the server
+// down.
 
 #include "net/server.h"
 
@@ -121,37 +121,31 @@ uint64_t InProcessDigest(int64_t* answers_out) {
   return TruthDigest(result.estimated_truth);
 }
 
-TEST(NetServer, SocketDigestMatchesInProcessOnBothEventLoops) {
+TEST(NetServer, SocketDigestMatchesInProcess) {
   int64_t in_process_answers = 0;
   const uint64_t in_process_digest = InProcessDigest(&in_process_answers);
   ASSERT_GT(in_process_answers, 0);
 
-  for (bool force_poll : {false, true}) {
-    SCOPED_TRACE(force_poll ? "poll" : "epoll");
-    ServerOptions options;
-    options.force_poll = force_poll;
-    ServerHarness harness(options);
+  ServerHarness harness(ServerOptions{});
 
-    sim::LoadGeneratorOptions load = LoadOptions();
-    load.connect = "127.0.0.1:" + std::to_string(harness.port());
-    load.num_connections = 4;
-    sim::LoadGenerator generator(&harness.crowd(), nullptr, load);
-    sim::LoadReport report = generator.Run();
-    ASSERT_TRUE(report.socket_status.ok())
-        << report.socket_status.ToString();
-    EXPECT_EQ(report.answers, in_process_answers);
-    EXPECT_EQ(report.rejected, 0);
-    EXPECT_EQ(report.final_stats.answers_accepted, in_process_answers);
+  sim::LoadGeneratorOptions load = LoadOptions();
+  load.connect = "127.0.0.1:" + std::to_string(harness.port());
+  load.num_connections = 4;
+  sim::LoadGenerator generator(&harness.crowd(), nullptr, load);
+  sim::LoadReport report = generator.Run();
+  ASSERT_TRUE(report.socket_status.ok()) << report.socket_status.ToString();
+  EXPECT_EQ(report.answers, in_process_answers);
+  EXPECT_EQ(report.rejected, 0);
+  EXPECT_EQ(report.final_stats.answers_accepted, in_process_answers);
 
-    Client client;
-    ASSERT_TRUE(client.Connect("127.0.0.1", harness.port()).ok());
-    FinalizeResponse finalize;
-    ASSERT_TRUE(client.Finalize(FinalizeRequest{}, &finalize).ok());
-    EXPECT_EQ(finalize.status, WireStatus::kOk);
-    EXPECT_EQ(finalize.digest, in_process_digest);
-    EXPECT_EQ(finalize.answer_count,
-              static_cast<uint64_t>(in_process_answers));
-  }
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", harness.port()).ok());
+  FinalizeResponse finalize;
+  ASSERT_TRUE(client.Finalize(FinalizeRequest{}, &finalize).ok());
+  EXPECT_EQ(finalize.status, WireStatus::kOk);
+  EXPECT_EQ(finalize.digest, in_process_digest);
+  EXPECT_EQ(finalize.answer_count,
+            static_cast<uint64_t>(in_process_answers));
 }
 
 TEST(NetServer, TinyBudgetShedsAreAbsorbedWithoutChangingTheDigest) {

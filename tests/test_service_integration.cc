@@ -1,17 +1,24 @@
 // End-to-end exercise of the online service layer: a simulated crowd is
-// replayed through CrowdService by the LoadGenerator with concurrent driver
-// threads, and the incremental engine's finalized truths are checked
-// against batch T-Crowd inference on the same answer set.
+// replayed through CrowdService by the LoadGenerator, and the incremental
+// engine's finalized truths are checked against batch T-Crowd inference on
+// the same answer set. The replay is a pure function of its options, and
+// the service and the shard router keep exact books when several threads
+// call them at once.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "assignment/policies.h"
 #include "inference/tcrowd_model.h"
 #include "platform/metrics.h"
 #include "service/crowd_service.h"
+#include "service/shard_router.h"
 #include "simulation/load_generator.h"
 #include "test_helpers.h"
 
@@ -52,7 +59,6 @@ TEST(ServiceIntegration, ReplayDrainsBudgetAndMatchesBatchInference) {
   load.max_arrivals = 100000;
   load.tasks_per_request = 2;
   load.abandon_prob = 0.1;  // exercise lease release + backfill
-  load.num_driver_threads = 2;
   load.seed = 5;
   sim::LoadGenerator generator(&world.crowd, &svc, load);
   sim::LoadReport report = generator.Run();
@@ -133,7 +139,6 @@ TEST(ServiceIntegration, BatchReplayDrainsAndMatchesBatchInference) {
   load.max_arrivals = 100000;
   load.tasks_per_request = 6;
   load.batch_size = 4;  // pages of 4 through SubmitAnswerBatch
-  load.num_driver_threads = 2;
   load.seed = 9;
   sim::LoadGenerator generator(&world.crowd, &svc, load);
   sim::LoadReport report = generator.Run();
@@ -190,12 +195,12 @@ void ExpectAnswerLogsIdentical(const AnswerSet& a, const AnswerSet& b) {
   }
 }
 
-TEST(ServiceIntegration, DeterministicReplayIsThreadCountInvariant) {
-  // The deterministic replay contract: with the default deterministic mode,
-  // the replayed history — and therefore the finalized truths — is a pure
-  // function of the options, identical for ANY num_driver_threads. Run the
-  // same campaign with 1 and 4 drivers and demand bit-equality end to end.
-  auto run = [](int threads, AnswerSet* log, Table* truths, Schema* schema,
+TEST(ServiceIntegration, DeterministicReplayIsReproducible) {
+  // The deterministic replay contract: the replayed history — and
+  // therefore the finalized truths — is a pure function of the options.
+  // Run the same campaign twice on fresh worlds and demand bit-equality
+  // end to end.
+  auto run = [](AnswerSet* log, Table* truths, Schema* schema,
                 sim::LoadReport* out) {
     sim::TableGeneratorOptions topt;
     topt.num_rows = 16;
@@ -211,35 +216,35 @@ TEST(ServiceIntegration, DeterministicReplayIsThreadCountInvariant) {
     sim::LoadGeneratorOptions load;
     load.tasks_per_request = 3;
     load.abandon_prob = 0.1;
-    load.num_driver_threads = threads;
     load.seed = 21;
     sim::LoadGenerator generator(&world.crowd, &svc, load);
     *out = generator.Run();
-    EXPECT_TRUE(svc.Drained()) << threads << " threads";
+    EXPECT_TRUE(svc.Drained());
     *log = svc.engine().SnapshotAnswers();
     *truths = svc.Finalize().estimated_truth;
   };
 
-  AnswerSet log1(0, 0), log4(0, 0);
-  Table truths1, truths4;
-  Schema schema1, schema4;
-  sim::LoadReport r1, r4;
-  run(1, &log1, &truths1, &schema1, &r1);
-  run(4, &log4, &truths4, &schema4, &r4);
+  AnswerSet log_a(0, 0), log_b(0, 0);
+  Table truths_a, truths_b;
+  Schema schema_a, schema_b;
+  sim::LoadReport a, b;
+  run(&log_a, &truths_a, &schema_a, &a);
+  run(&log_b, &truths_b, &schema_b, &b);
 
-  EXPECT_EQ(r1.arrivals, r4.arrivals);
-  EXPECT_EQ(r1.answers, r4.answers);
-  EXPECT_EQ(r1.abandoned_sessions, r4.abandoned_sessions);
-  EXPECT_EQ(r1.rejected, r4.rejected);
-  ExpectAnswerLogsIdentical(log1, log4);
+  EXPECT_GT(a.abandoned_sessions, 0);
+  EXPECT_EQ(a.arrivals, b.arrivals);
+  EXPECT_EQ(a.answers, b.answers);
+  EXPECT_EQ(a.abandoned_sessions, b.abandoned_sessions);
+  EXPECT_EQ(a.rejected, b.rejected);
+  ExpectAnswerLogsIdentical(log_a, log_b);
   // Zero tolerance on the finalized truths — not "close", identical.
-  tcrowd::testing::ExpectTablesMatch(schema1, truths1, truths4, 0.0);
+  tcrowd::testing::ExpectTablesMatch(schema_a, truths_a, truths_b, 0.0);
 }
 
-TEST(ServiceIntegration, DeterministicCrashPointIsThreadCountInvariant) {
-  // The kill switch must trip on the same arrival regardless of thread
-  // count: the durable prefix a crash leaves behind is reproducible.
-  auto run = [](int threads, AnswerSet* log) {
+TEST(ServiceIntegration, DeterministicCrashPointIsReproducible) {
+  // The kill switch must trip on the same arrival every time: the durable
+  // prefix a crash leaves behind is reproducible.
+  auto run = [](AnswerSet* log, int64_t* arrivals) {
     sim::TableGeneratorOptions topt;
     topt.num_rows = 16;
     topt.num_cols = 4;
@@ -249,57 +254,140 @@ TEST(ServiceIntegration, DeterministicCrashPointIsThreadCountInvariant) {
     sim::LoadGeneratorOptions load;
     load.tasks_per_request = 3;
     load.stop_after_answers = 77;
-    load.num_driver_threads = threads;
     load.seed = 33;
     sim::LoadGenerator generator(&world.crowd, &svc, load);
     sim::LoadReport report = generator.Run();
     EXPECT_TRUE(report.stopped_early);
     EXPECT_EQ(report.answers, 77);
+    *arrivals = report.arrivals;
     *log = svc.engine().SnapshotAnswers();
   };
-  AnswerSet log1(0, 0), log4(0, 0);
-  run(1, &log1);
-  run(4, &log4);
-  ExpectAnswerLogsIdentical(log1, log4);
+  AnswerSet log_a(0, 0), log_b(0, 0);
+  int64_t arrivals_a = 0, arrivals_b = 0;
+  run(&log_a, &arrivals_a);
+  run(&log_b, &arrivals_b);
+  EXPECT_EQ(arrivals_a, arrivals_b);
+  ExpectAnswerLogsIdentical(log_a, log_b);
 }
 
-TEST(ServiceIntegration, ConcurrentDriversKeepAccountingConsistent) {
-  // Hammer the service from 4 driver threads with a cheap policy/engine and
-  // verify the books still balance exactly.
+/// What one hammering thread did to a backend.
+struct ThreadTally {
+  int64_t sessions = 0;
+  int64_t leased = 0;
+  int64_t accepted = 0;
+  int64_t rejected = 0;
+};
+
+/// Calls StartSession / RequestTasks / SubmitAnswerBatch / EndSession /
+/// Stats on `backend` from kThreads threads at once until it drains, then
+/// checks that the books balance exactly. Each thread owns a disjoint set
+/// of worker ids, abandons every fifth session (its leases go back through
+/// EndSession) and answers the rest with fixed values.
+void HammerConcurrently(ServingBackend* backend, int num_cells, int target) {
+  constexpr int kThreads = 4;
+  constexpr int kWorkersPerThread = 8;
+  constexpr int kMaxSessionsPerThread = 20000;
+  const Schema& schema = backend->schema();
+  const int64_t expected = static_cast<int64_t>(num_cells) * target;
+
+  std::vector<ThreadTally> tallies(kThreads);
+  std::vector<std::thread> threads;
+  std::atomic<int> waiting{kThreads};  // start gate: all threads at once
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ThreadTally& tally = tallies[t];
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) std::this_thread::yield();
+      for (int n = 0; n < kMaxSessionsPerThread && !backend->Drained(); ++n) {
+        WorkerId worker = t + kThreads * (n % kWorkersPerThread);
+        ServingBackend::SessionId session = backend->StartSession(worker);
+        ++tally.sessions;
+        std::vector<CellRef> tasks = backend->RequestTasks(session, 3);
+        tally.leased += static_cast<int64_t>(tasks.size());
+        if (n % 5 != 4) {
+          std::vector<std::pair<CellRef, Value>> items;
+          for (const CellRef& cell : tasks) {
+            items.emplace_back(cell, schema.column(cell.col).type ==
+                                             ColumnType::kCategorical
+                                         ? Value::Categorical(t % 2)
+                                         : Value::Continuous(0.25 * t));
+          }
+          for (const Status& st : backend->SubmitAnswerBatch(session, items)) {
+            ++(st.ok() ? tally.accepted : tally.rejected);
+          }
+        }
+        EXPECT_TRUE(backend->EndSession(session).ok());
+        if (n % 7 == 0) {
+          ServiceStats mid = backend->Stats();
+          EXPECT_LE(mid.budget_spent, expected);
+          EXPECT_GE(mid.budget_remaining, 0);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  ThreadTally total;
+  for (const ThreadTally& tally : tallies) {
+    total.sessions += tally.sessions;
+    total.leased += tally.leased;
+    total.accepted += tally.accepted;
+    total.rejected += tally.rejected;
+  }
+  EXPECT_TRUE(backend->Drained());
+  EXPECT_EQ(total.accepted, expected);
+  EXPECT_EQ(total.rejected, 0);
+  ServiceStats stats = backend->Stats();
+  EXPECT_EQ(stats.answers_accepted, expected);
+  EXPECT_EQ(stats.answers_rejected, 0);
+  EXPECT_EQ(stats.budget_spent, expected);
+  EXPECT_EQ(stats.budget_remaining, 0);
+  EXPECT_EQ(stats.tasks_finalized, num_cells);
+  EXPECT_EQ(stats.tasks_open + stats.tasks_assigned + stats.tasks_answered,
+            0);
+  EXPECT_EQ(stats.sessions_started, total.sessions);
+  EXPECT_EQ(stats.sessions_active, 0);
+  EXPECT_EQ(stats.assignments, total.leased);
+  EXPECT_EQ(backend->num_answers(), static_cast<uint64_t>(expected));
+}
+
+ServiceConfig HammerConfig(int target) {
+  ServiceConfig config;
+  config.target_answers_per_task = target;
+  config.num_threads = 2;
+  config.inference.method = "mv";
+  config.inference.staleness_threshold = 100;
+  return config;
+}
+
+TEST(ServiceIntegration, ConcurrentCallersKeepServiceAccountingExact) {
   sim::TableGeneratorOptions topt;
   topt.num_rows = 30;
   topt.num_cols = 5;
   SimWorld world(92, /*answers_per_task=*/0, topt);
-
-  ServiceConfig config;
-  config.target_answers_per_task = 6;
-  config.num_threads = 2;
-  config.inference.method = "mv";
-  config.inference.staleness_threshold = 100;
+  const int kTarget = 6;
   CrowdService svc(world.world.schema, world.world.truth.num_rows(),
-                   std::make_unique<LoopingPolicy>(), config);
+                   std::make_unique<LoopingPolicy>(), HammerConfig(kTarget));
+  HammerConcurrently(&svc, world.world.truth.num_rows() *
+                               world.world.schema.num_columns(),
+                     kTarget);
+}
 
-  sim::LoadGeneratorOptions load;
-  load.tasks_per_request = 3;
-  load.abandon_prob = 0.15;
-  load.num_driver_threads = 4;
-  load.seed = 6;
-  sim::LoadGenerator generator(&world.crowd, &svc, load);
-  sim::LoadReport report = generator.Run();
-
-  const int64_t expected_answers =
-      static_cast<int64_t>(world.world.truth.num_rows()) *
-      world.world.schema.num_columns() * 6;
-  EXPECT_TRUE(svc.Drained());
-  EXPECT_EQ(report.answers, expected_answers);
-  EXPECT_EQ(report.rejected, 0);
-  EXPECT_EQ(svc.engine().num_answers(),
-            static_cast<size_t>(expected_answers));
-  ServiceStats stats = svc.Stats();
-  EXPECT_EQ(stats.budget_spent, expected_answers);
-  EXPECT_EQ(stats.budget_remaining, 0);
-  EXPECT_EQ(stats.tasks_finalized,
-            world.world.truth.num_rows() * world.world.schema.num_columns());
+TEST(ServiceIntegration, ConcurrentCallersKeepShardRouterAccountingExact) {
+  sim::TableGeneratorOptions topt;
+  topt.num_rows = 30;
+  topt.num_cols = 5;
+  SimWorld world(92, /*answers_per_task=*/0, topt);
+  const int kTarget = 6;
+  ShardRouterConfig config;
+  config.num_shards = 2;
+  config.base = HammerConfig(kTarget);
+  config.policy_factory = [](int) { return std::make_unique<LoopingPolicy>(); };
+  ShardRouter router(world.world.schema, world.world.truth.num_rows(),
+                     std::move(config));
+  HammerConcurrently(&router, world.world.truth.num_rows() *
+                                  world.world.schema.num_columns(),
+                     kTarget);
 }
 
 }  // namespace

@@ -36,6 +36,9 @@
 #      `struct Reader`, or a `void PutU*` definition anywhere in the C++
 #      sources outside src/data/byte_codec.* fails the check — every
 #      format encodes through that one codec.
+#  10. one event loop, one driver loop: the retired poll() loop of
+#      net::Server and the load generator's multi-thread driver (their
+#      option, method and flag names) must not reappear in the sources.
 #
 # Run it locally after adding a module or touching the answer path:
 #
@@ -162,7 +165,7 @@ else
                 Retract Bye Finalize Stats LogGather ApplyLeases \
                 "0x08) | reserved (retired" \
                 RETRY_LATER write_queue_high \
-                max_frames_per_wake inflight-budget \
+                kMaxFramesPerWake inflight-budget \
                 answers_since_refresh RequestRefresh tcrowd_serverd \
                 NegotiateProtocolVersion MinProtocolVersionForMsgType \
                 "GET /metrics" bench_net smoke_serverd; do
@@ -228,6 +231,18 @@ if [ -n "$codec_copies" ]; then
   fail=1
 fi
 
+# One event loop, one driver loop. The pattern is bracketed so this
+# script does not match itself.
+second_paths=$(cd "$repo_root" && grep -rnE \
+    'force_p[o]ll|RunP[o]ll|num_driver_thr[e]ads|Drive[L]oop' \
+    src tools tests bench examples 2>/dev/null || true)
+if [ -n "$second_paths" ]; then
+  echo "check_docs.sh: a retired second serving path reappeared" \
+       "(net::Server keeps one epoll loop, LoadGenerator one driver loop):" >&2
+  echo "$second_paths" | sed 's/^/  /' >&2
+  fail=1
+fi
+
 [ "$fail" -eq 0 ] || exit 1
 
-echo "check_docs.sh: all $(ls -d "$repo_root"/src/*/ | wc -l | tr -d ' ') src/ modules are documented; data-lifecycle, persistence, scenarios, observability, protocol, and sharding docs are fresh; one byte codec."
+echo "check_docs.sh: all $(ls -d "$repo_root"/src/*/ | wc -l | tr -d ' ') src/ modules are documented; data-lifecycle, persistence, scenarios, observability, protocol, and sharding docs are fresh; one byte codec; one event loop and one driver loop."

@@ -93,10 +93,10 @@ commands:
              [--rows=N --cols=M --ratio=R --workers=W]
              [--policy=NAME] [--engine=METHOD] [--target=K]
              [--arrivals=N] [--tasks-per-worker=K] [--staleness=N]
-             [--batch-size=N] [--threads=T] [--drivers=D] [--abandon=P]
+             [--batch-size=N] [--threads=T] [--abandon=P]
              [--shards=N] (multi-shard serving tier, docs/SHARDING.md;
              plain load runs only — not --scenario/--record/--crash-after)
-             [--racy] [--checkpoint-dir=DIR] [--crash-after=N] [--seed=S]
+             [--checkpoint-dir=DIR] [--crash-after=N] [--seed=S]
              [--scenario=NAME] [--checkpoints=N] [--curve-csv=FILE.csv]
              [--record=FILE] [--metrics-out=FILE]
              [--metrics-interval-ms=N] [--report-json=FILE]
@@ -135,8 +135,8 @@ scenario (hostile worker behaviors + shaped arrivals + retraction pressure,
 see docs/SCENARIOS.md) instead of the plain load generator, recording a
 TCrowd-vs-MajorityVoting quality-vs-budget curve at --checkpoints evenly
 spaced budget marks (--curve-csv writes it as CSV). --scenario=list prints
-the catalog. Replays are deterministic by default; --racy restores the
-contention-realistic racy driver mode (plain load generator only).
+the catalog. Replays are deterministic: one driver loop runs the
+arrivals in order, so the same flags give the same history.
 
 methods: tcrowd, tc-onlycate, tc-onlycont, mv, median, ds, zencrowd, glad,
          gtm, crh, catd
@@ -505,10 +505,6 @@ int CmdServeSim(const FlagParser& flags) {
   // Batch replay: page answers through SubmitAnswerBatch instead of one
   // SubmitAnswer per answer (see docs/DATA_LIFECYCLE.md).
   load.batch_size = static_cast<int>(flags.GetInt("batch-size", 1));
-  load.num_driver_threads = static_cast<int>(flags.GetInt("drivers", 1));
-  // Deterministic replay is the default; --racy restores the free-running
-  // driver interleaving for contention-realistic throughput numbers.
-  load.deterministic = !flags.GetBool("racy", false);
   load.seed = seed + 3;
 
   sim::ScenarioOptions scenario_opt;

@@ -16,11 +16,10 @@
 //                       daemon is re-adopted on the next request that
 //                       touches it (auto-restore).
 //
-// All roles share one event loop: single-threaded epoll (poll() under
-// --force-poll) multiplexing any number of client connections, with
-// admission control tied to EM refresh staleness and bounded per-connection
-// write queues. The same listener answers `GET /metrics` with Prometheus
-// text.
+// All roles share one event loop: single-threaded epoll (Linux only)
+// multiplexing any number of client connections, with admission control
+// tied to EM refresh staleness and bounded per-connection write queues. The
+// same listener answers `GET /metrics` with Prometheus text.
 //
 // Drive it with `tcrowd client --connect=HOST:PORT ...` or
 // `tcrowd serve-sim`-style load via the load generator's socket mode.
@@ -87,13 +86,10 @@ int Usage() {
   --record=FILE       deterministic event log (replayable via tcrowd replay;
                       single-shard only)
   --checkpoint-dir=DIR durable answer log (shard daemons append /shard-NNN)
-  --force-poll        use the poll() event loop even where epoll exists
-  --inflight-budget=N admission-control budget (0 = factor * staleness,
-                      -1 = never shed; router mode defaults to -1, the
-                      shard daemons meter their own admission)
-  --inflight-factor=N budget multiplier when derived (default 8)
-  --write-queue-high=BYTES per-connection write-queue high watermark
-  --max-frames-per-wake=N  per-connection fairness cap
+  --inflight-budget=N admission-control budget (0 = 8 * staleness, the
+                      net::kInflightBudgetFactor; -1 = never shed; router
+                      mode defaults to -1, the shard daemons meter their
+                      own admission)
   --trace=debug|info|warn|off
 )");
   return 2;
@@ -282,21 +278,10 @@ int Main(int argc, const char* const* argv) {
   }
 
   net::ServerOptions server_opt;
-  server_opt.force_poll = flags.GetBool("force-poll", false);
   // Router role: the shard daemons meter their own admission; shedding at
   // the router too would double-count the same in-flight answers.
   server_opt.inflight_budget =
       flags.GetInt("inflight-budget", router_mode ? -1 : 0);
-  server_opt.inflight_budget_factor =
-      static_cast<int>(flags.GetInt("inflight-factor", 8));
-  if (flags.Has("write-queue-high")) {
-    server_opt.write_queue_high =
-        static_cast<size_t>(flags.GetInt("write-queue-high"));
-  }
-  if (flags.Has("max-frames-per-wake")) {
-    server_opt.max_frames_per_wake =
-        static_cast<int>(flags.GetInt("max-frames-per-wake"));
-  }
 
   std::string host;
   uint16_t port = 0;
@@ -323,9 +308,8 @@ int Main(int argc, const char* const* argv) {
 
   // Scripts scrape this line for the kernel-assigned port — keep the format
   // stable and flush before blocking in the event loop.
-  std::printf("tcrowd_serverd listening on %s:%u (%s, budget %lld)\n",
+  std::printf("tcrowd_serverd listening on %s:%u (budget %lld)\n",
               host.empty() ? "127.0.0.1" : host.c_str(), server.port(),
-              server_opt.force_poll ? "poll" : "epoll",
               static_cast<long long>(server.inflight_budget()));
   if (shard_mode && shard_count > 1) {
     std::printf("world %s: shard %d/%d (%d of %d rows), policy %s, "
