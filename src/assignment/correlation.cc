@@ -65,15 +65,21 @@ ErrorCorrelationModel ErrorCorrelationModel::Fit(const TCrowdState& state,
     model.col_types_[j] = state.schema.column(j).type;
   }
 
+  // Every active answer's error, computed once: the pair loop below reads
+  // each one once per other answer of its worker's row.
+  std::vector<double> errors(answers.size(), 0.0);
+
   // Marginal error distributions per column (Table 4).
   {
     std::vector<double> err_count(model.num_cols_, 0.0);
     std::vector<double> total(model.num_cols_, 0.0);
     std::vector<std::vector<double>> cont_errors(model.num_cols_);
-    for (const Answer& a : answers.answers()) {
+    for (size_t id = 0; id < answers.size(); ++id) {
+      const Answer& a = answers.answers()[id];
       int j = a.cell.col;
       if (!state.column_active[j]) continue;
       double e = AnswerError(state, a);
+      errors[id] = e;
       if (model.col_types_[j] == ColumnType::kCategorical) {
         err_count[j] += e;
         total[j] += 1.0;
@@ -126,8 +132,8 @@ ErrorCorrelationModel ErrorCorrelationModel::Fit(const TCrowdState& state,
           PairSamples& ps =
               samples[static_cast<size_t>(ax.cell.col) * model.num_cols_ +
                       ay.cell.col];
-          ps.ej.push_back(AnswerError(state, ax));
-          ps.ek.push_back(AnswerError(state, ay));
+          ps.ej.push_back(errors[ids[x]]);
+          ps.ek.push_back(errors[ids[y]]);
         }
       }
       start = end;

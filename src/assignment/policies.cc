@@ -50,64 +50,17 @@ bool LoopingPolicy::SelectTaskExcluding(const Schema& schema,
 
 // --------------------------------------------------------------- Entropy --
 
-void ApplyIncrementalAnswer(const Answer& answer, TCrowdState* state) {
-  int i = answer.cell.row;
-  int j = answer.cell.col;
-  if (!state->column_active[j]) return;
-  CellPosterior& post =
-      state->posteriors[static_cast<size_t>(i) * state->num_cols + j];
-  if (post.type == ColumnType::kContinuous) {
-    double scale = state->col_scale[j];
-    double s = state->AnswerVarianceStd(answer.worker, i, j);
-    double z = state->Standardize(j, answer.value.number());
-    math::Normal prior(state->Standardize(j, post.mean),
-                       post.variance / (scale * scale));
-    math::Normal updated = prior.PosteriorGivenObservation(z, s);
-    post.mean = state->Unstandardize(j, updated.mean());
-    post.variance = updated.variance() * scale * scale;
-  } else {
-    if (post.probs.empty()) return;
-    int L = static_cast<int>(post.probs.size());
-    double q = state->CategoricalQuality(answer.worker, i, j);
-    double wrong = (1.0 - q) / std::max(1, L - 1);
-    double total = 0.0;
-    for (int z = 0; z < L; ++z) {
-      post.probs[z] *= (z == answer.value.label()) ? q : wrong;
-      total += post.probs[z];
-    }
-    if (total > 0.0) {
-      for (double& p : post.probs) p /= total;
-    }
-  }
-}
-
-namespace {
-
-/// The T-Crowd policies' refit: a cold fit when `previous` is null (the
-/// first fit), else a fit warm-started from `previous`'s alpha/beta/phi.
-/// The chain of refits is deterministic for a given answer sequence and
-/// refresh cadence.
-TCrowdState WarmRefit(const TCrowdModel& model, const Schema& schema,
-                      const AnswerSet& answers, const TCrowdState* previous) {
-  if (previous == nullptr) return model.Fit(schema, answers);
-  TCrowdWarmStart warm = TCrowdWarmStart::From(*previous);
-  return model.Fit(schema, answers, nullptr, &warm);
-}
-
-}  // namespace
-
 void EntropyPolicy::Refresh(const Schema& schema, const AnswerSet& answers) {
-  state_ = WarmRefit(model_, schema, answers, fitted_ ? &state_ : nullptr);
-  fitted_ = true;
+  refit_.Refresh(schema, answers);
 }
 
 void EntropyPolicy::Observe(const Schema& schema, const AnswerSet& answers,
                             const Answer& answer) {
-  if (!fitted_) {
+  if (!refit_.fitted()) {
     Refresh(schema, answers);
     return;
   }
-  ApplyIncrementalAnswer(answer, &state_);
+  refit_.Observe(answer);
 }
 
 bool EntropyPolicy::SelectTaskExcluding(const Schema& schema,
@@ -115,12 +68,12 @@ bool EntropyPolicy::SelectTaskExcluding(const Schema& schema,
                                         WorkerId worker,
                                         const std::vector<CellRef>& exclude,
                                         CellRef* out) {
-  if (!fitted_) Refresh(schema, answers);
+  if (!refit_.fitted()) Refresh(schema, answers);
   std::vector<CellRef> candidates = CandidateCells(answers, worker, exclude);
   if (candidates.empty()) return false;
   double best = -std::numeric_limits<double>::infinity();
   for (const CellRef& cell : candidates) {
-    double h = state_.posterior(cell.row, cell.col).Entropy();
+    double h = refit_.state().posterior(cell.row, cell.col).Entropy();
     if (h > best) {
       best = h;
       *out = cell;
@@ -133,24 +86,23 @@ bool EntropyPolicy::SelectTaskExcluding(const Schema& schema,
 
 void InherentGainPolicy::Refresh(const Schema& schema,
                                  const AnswerSet& answers) {
-  state_ = WarmRefit(model_, schema, answers, fitted_ ? &state_ : nullptr);
-  fitted_ = true;
+  refit_.Refresh(schema, answers);
 }
 
 void InherentGainPolicy::Observe(const Schema& schema,
                                  const AnswerSet& answers,
                                  const Answer& answer) {
-  if (!fitted_) {
+  if (!fitted()) {
     Refresh(schema, answers);
     return;
   }
-  ApplyIncrementalAnswer(answer, &state_);
+  refit_.Observe(answer);
 }
 
 double InherentGainPolicy::Gain(const AnswerSet& answers, WorkerId worker,
                                 CellRef cell) const {
-  TCROWD_CHECK(fitted_) << "Refresh() must run before Gain()";
-  InformationGain ig(&state_);
+  TCROWD_CHECK(fitted()) << "Refresh() must run before Gain()";
+  InformationGain ig(&state());
   return ig.InherentGain(answers, worker, cell);
 }
 
@@ -189,7 +141,7 @@ std::vector<CellRef> InherentGainPolicy::TopCandidates(
 
 std::function<double(CellRef)> InherentGainPolicy::Scorer(
     const AnswerSet& answers, WorkerId worker) const {
-  InformationGain ig(&state_);
+  InformationGain ig(&state());
   return [ig, &answers, worker](CellRef cell) {
     return ig.InherentGain(answers, worker, cell);
   };
@@ -208,7 +160,7 @@ bool InherentGainPolicy::SelectTaskExcluding(
 std::vector<CellRef> InherentGainPolicy::SelectTasksExcluding(
     const Schema& schema, const AnswerSet& answers, WorkerId worker,
     const std::vector<CellRef>& exclude, int k) {
-  if (!fitted_) Refresh(schema, answers);
+  if (!fitted()) Refresh(schema, answers);
   return TopCandidates(answers, worker, exclude, Scorer(answers, worker), k);
 }
 
@@ -216,18 +168,20 @@ std::vector<CellRef> InherentGainPolicy::SelectTasksExcluding(
 
 void StructureAwarePolicy::Refresh(const Schema& schema,
                                    const AnswerSet& answers) {
+  // The next fit is already running on the refit worker; the correlation
+  // model is fitted here, against the state just installed.
   InherentGainPolicy::Refresh(schema, answers);
-  correlation_ = ErrorCorrelationModel::Fit(state_, answers, corr_options_);
+  correlation_ = ErrorCorrelationModel::Fit(state(), answers, corr_options_);
 }
 
 double StructureAwarePolicy::GainWithEvidence(
     const AnswerSet& answers, WorkerId worker, CellRef cell,
     const std::vector<ObservedError>& evidence) const {
   TCROWD_CHECK(fitted()) << "Refresh() must run before StructureGain()";
-  InformationGain ig(&state_);
+  InformationGain ig(&state());
   if (evidence.empty()) return ig.InherentGain(answers, worker, cell);
 
-  const ColumnSpec& col = state_.schema.column(cell.col);
+  const ColumnSpec& col = state().schema.column(cell.col);
   if (col.type == ColumnType::kCategorical) {
     // PredictCorrectProb ignores evidence on cell.col itself and reports
     // "no usable evidence" as a negative value, which GainWithAnswerModel
@@ -249,7 +203,7 @@ double StructureAwarePolicy::StructureGain(const AnswerSet& answers,
                                            CellRef cell) const {
   return GainWithEvidence(
       answers, worker, cell,
-      ErrorCorrelationModel::ObservedErrorsInRow(state_, answers, worker,
+      ErrorCorrelationModel::ObservedErrorsInRow(state(), answers, worker,
                                                  cell.row, cell.col));
 }
 
@@ -258,7 +212,7 @@ std::function<double(CellRef)> StructureAwarePolicy::Scorer(
   // The worker's evidence sets are a function of (worker, answers) only:
   // build them once, score all candidates against their row's set.
   std::vector<std::vector<ObservedError>> row_evidence =
-      ErrorCorrelationModel::BuildRowEvidence(state_, answers, worker);
+      ErrorCorrelationModel::BuildRowEvidence(state(), answers, worker);
   return [this, &answers, worker,
           row_evidence = std::move(row_evidence)](CellRef cell) {
     return GainWithEvidence(answers, worker, cell, row_evidence[cell.row]);

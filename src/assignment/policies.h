@@ -6,6 +6,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "assignment/background_refit.h"
 #include "assignment/correlation.h"
 #include "assignment/info_gain.h"
 #include "assignment/policy.h"
@@ -50,11 +51,12 @@ class LoopingPolicy : public AssignmentPolicy {
 /// Greedy maximum-uncertainty assignment using T-Crowd's posterior entropy
 /// directly (paper Section 6.4.2 "Entropy" heuristic). Differential and
 /// Shannon entropies are NOT comparable, so this heuristic is biased toward
-/// continuous tasks — reproduced here deliberately.
+/// continuous tasks — reproduced here deliberately. Its model is refit one
+/// Refresh() behind, off the caller's thread (BackgroundRefit).
 class EntropyPolicy : public AssignmentPolicy {
  public:
   explicit EntropyPolicy(TCrowdOptions options = TCrowdOptions())
-      : model_(std::move(options)) {}
+      : refit_(std::move(options)) {}
   std::string name() const override { return "Entropy"; }
   void Refresh(const Schema& schema, const AnswerSet& answers) override;
   void Observe(const Schema& schema, const AnswerSet& answers,
@@ -65,24 +67,19 @@ class EntropyPolicy : public AssignmentPolicy {
                            CellRef* out) override;
 
  private:
-  TCrowdModel model_;
-  TCrowdState state_;
-  bool fitted_ = false;
+  BackgroundRefit refit_;
 };
-
-/// Applies one Bayes step for `answer` to the cell posterior held in
-/// `state` (shared by the entropy/gain policies' Observe hooks).
-void ApplyIncrementalAnswer(const Answer& answer, TCrowdState* state);
 
 /// Inherent information gain policy (paper Section 5.1): assigns the task
 /// whose expected delta entropy under this worker's answer model is
 /// largest. Task scoring is parallelized across a thread pool (the paper's
-/// Section 5.1 parallelization note).
+/// Section 5.1 parallelization note). Its model is refit one Refresh()
+/// behind, off the caller's thread (BackgroundRefit).
 class InherentGainPolicy : public AssignmentPolicy {
  public:
   explicit InherentGainPolicy(TCrowdOptions options = TCrowdOptions(),
                               int num_threads = 1)
-      : model_(std::move(options)),
+      : refit_(std::move(options)),
         pool_(num_threads > 1 ? std::make_unique<ThreadPool>(num_threads)
                               : nullptr) {}
   std::string name() const override { return "InherentGain"; }
@@ -100,9 +97,13 @@ class InherentGainPolicy : public AssignmentPolicy {
   /// Exposed for diagnostics/tests: IG of one cell for one worker.
   double Gain(const AnswerSet& answers, WorkerId worker, CellRef cell) const;
 
+  /// Blocks until the fit the last Refresh() launched has finished
+  /// (BackgroundRefit::WaitForFit; benchmarks only).
+  void WaitForRefit() { refit_.WaitForFit(); }
+
  protected:
-  const TCrowdState& state() const { return state_; }
-  bool fitted() const { return fitted_; }
+  const TCrowdState& state() const { return refit_.state(); }
+  bool fitted() const { return refit_.fitted(); }
 
   /// Scores every candidate once (possibly in parallel) and returns up to
   /// `k` of them by score descending, row-major order among ties. With the
@@ -117,9 +118,7 @@ class InherentGainPolicy : public AssignmentPolicy {
   virtual std::function<double(CellRef)> Scorer(const AnswerSet& answers,
                                                 WorkerId worker) const;
 
-  TCrowdModel model_;
-  TCrowdState state_;
-  bool fitted_ = false;
+  BackgroundRefit refit_;
   std::unique_ptr<ThreadPool> pool_;
 };
 

@@ -13,20 +13,32 @@ namespace tcrowd {
 /// arrives, decide which cell(s) to ask them about.
 ///
 /// Protocol: the experiment loop calls Refresh() whenever the answer set has
-/// grown (policies re-run/refresh their internal truth inference there),
-/// then SelectTask()/SelectTasks() for each incoming worker. Policies must
-/// only return cells the worker has not answered yet.
+/// grown (policies refresh their internal truth inference there), Observe()
+/// after each new answer, and SelectTask()/SelectTasks() for each incoming
+/// worker. Policies must only return cells the worker has not answered yet.
 class AssignmentPolicy {
  public:
   virtual ~AssignmentPolicy() = default;
 
   virtual std::string name() const = 0;
 
-  /// Re-synchronizes internal state with the (grown) answer set. The
-  /// T-Crowd policies refit their model here; every refit after the first
-  /// is warm-started from the previous fit's parameters, so the result
-  /// depends on the sequence of Refresh() calls, not just on the final
-  /// answer set.
+  /// Re-synchronizes internal state with the (grown) answer set.
+  ///
+  /// The T-Crowd policies (entropy, inherent gain, structure-aware) refit
+  /// one call behind, off the caller's thread (BackgroundRefit): a call
+  /// installs the fit the previous call launched, waiting only if it is
+  /// still running, replays onto it the answers Observe()d since that
+  /// launch, then snapshots `answers` and launches the next fit,
+  /// warm-started from the installed state, on the policy's own worker
+  /// thread. The caller pays for the snapshot and the install, not for the
+  /// EM. Only the first call fits, cold, on the caller's thread. Selections
+  /// therefore see the fit of the answers at the previous Refresh() plus
+  /// the per-cell updates of every answer observed since: a function of
+  /// the sequence of Refresh()/Observe()/Select calls, never of thread
+  /// timing. `answers` is read during the call only.
+  ///
+  /// The model-free policies (random, looping, CDAS, AskIt!) recompute
+  /// their cheap state inline.
   virtual void Refresh(const Schema& schema, const AnswerSet& answers) = 0;
 
   /// Cheap incremental update after one new answer (the paper's

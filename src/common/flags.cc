@@ -38,37 +38,68 @@ Status FlagParser::Parse(int argc, const char* const* argv) {
   return Status::Ok();
 }
 
+const std::string* FlagParser::Find(const std::string& name) const {
+  auto it = flags_.find(name);
+  if (it == flags_.end()) return nullptr;
+  read_.insert(name);
+  return &it->second;
+}
+
+void FlagParser::NoteBadValue(const std::string& name,
+                              const std::string& value,
+                              const char* type) const {
+  bad_values_.push_back("--" + name + "=" + value + " is not " + type);
+}
+
 bool FlagParser::Has(const std::string& name) const {
-  return flags_.count(name) > 0;
+  return Find(name) != nullptr;
 }
 
 std::string FlagParser::GetString(const std::string& name,
                                   const std::string& fallback) const {
-  auto it = flags_.find(name);
-  return it != flags_.end() ? it->second : fallback;
+  const std::string* value = Find(name);
+  return value != nullptr ? *value : fallback;
 }
 
 int64_t FlagParser::GetInt(const std::string& name, int64_t fallback) const {
-  auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  auto parsed = ParseInt(it->second);
-  return parsed.ok() ? *parsed : fallback;
+  const std::string* value = Find(name);
+  if (value == nullptr) return fallback;
+  auto parsed = ParseInt(*value);
+  if (parsed.ok()) return *parsed;
+  NoteBadValue(name, *value, "an integer");
+  return fallback;
 }
 
 double FlagParser::GetDouble(const std::string& name, double fallback) const {
-  auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  auto parsed = ParseDouble(it->second);
-  return parsed.ok() ? *parsed : fallback;
+  const std::string* value = Find(name);
+  if (value == nullptr) return fallback;
+  auto parsed = ParseDouble(*value);
+  if (parsed.ok()) return *parsed;
+  NoteBadValue(name, *value, "a number");
+  return fallback;
 }
 
 bool FlagParser::GetBool(const std::string& name, bool fallback) const {
-  auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  const std::string& v = it->second;
+  const std::string* value = Find(name);
+  if (value == nullptr) return fallback;
+  const std::string& v = *value;
   if (v == "true" || v == "1" || v == "yes") return true;
   if (v == "false" || v == "0" || v == "no") return false;
+  NoteBadValue(name, v, "a boolean");
   return fallback;
+}
+
+Status FlagParser::Validate() const {
+  std::vector<std::string> problems = bad_values_;
+  for (const auto& [name, value] : flags_) {
+    if (read_.count(name) == 0) {
+      problems.push_back("unknown or unused flag --" + name);
+    }
+  }
+  if (problems.empty()) return Status::Ok();
+  std::string message = problems[0];
+  for (size_t i = 1; i < problems.size(); ++i) message += "; " + problems[i];
+  return Status::InvalidArgument(message);
 }
 
 }  // namespace tcrowd

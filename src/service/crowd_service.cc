@@ -46,6 +46,7 @@ CrowdService::CrowdService(const Schema& schema, int num_rows,
       sessions_ended_(&metrics_.counter("service.sessions_ended")),
       sessions_expired_(&metrics_.counter("service.sessions_expired")),
       tasks_assigned_(&metrics_.counter("service.tasks_assigned")),
+      tasks_backfilled_(&metrics_.counter("service.tasks_backfilled")),
       answers_accepted_(&metrics_.counter("service.answers_accepted")),
       answers_rejected_(&metrics_.counter("service.answers_rejected")),
       answers_retracted_(&metrics_.counter("service.answers_retracted")),
@@ -246,8 +247,10 @@ std::vector<CellRef> CrowdService::RequestTasks(SessionId session, int k) {
     }
   }
 
+  const int64_t backfilled_before = router_.backfilled();
   std::vector<CellRef> picked =
       router_.Route(schema_, answers_, sess.worker, k, unavailable);
+  tasks_backfilled_->Increment(router_.backfilled() - backfilled_before);
   for (const CellRef& cell : picked) {
     ++TaskAt(cell).leases;
     sess.leases.push_back(cell);
@@ -529,7 +532,6 @@ ServiceStats CrowdService::Stats() const {
   stats.answers_retracted = retractions_total_;
   stats.answers_restored = answers_restored_->value();
   stats.assignments = tasks_assigned_->value();
-  stats.backfilled = router_.backfilled();
   stats.budget_spent = budget_spent_;
   stats.budget_remaining = config_.max_total_answers - budget_committed_;
   stats.engine_refreshes = engine_->refresh_count();

@@ -83,7 +83,6 @@ struct ServiceStats {
   /// counted in budget_spent; their tasks may start finalized).
   int64_t answers_restored = 0;
   int64_t assignments = 0;
-  int64_t backfilled = 0;
   int64_t budget_spent = 0;
   int64_t budget_remaining = 0;
   int engine_refreshes = 0;
@@ -188,8 +187,9 @@ class CrowdService : public ServingBackend {
 
   /// Leases up to `k` tasks to the session. Empty when the session is
   /// unknown/closed/expired, the budget is exhausted, or nothing is
-  /// assignable. May block on an inline policy refit the first time the
-  /// routing policy needs its model.
+  /// assignable. The first lease after answers exist runs the routing
+  /// policy's one synchronous cold fit; later policy refits run on the
+  /// policy's own worker thread (TaskRouter::OnAnswer).
   std::vector<CellRef> RequestTasks(SessionId session, int k) override;
 
   /// Accepts one answer for a cell the session holds a lease on. Rejects
@@ -338,6 +338,9 @@ class CrowdService : public ServingBackend {
   Counter* sessions_ended_;
   Counter* sessions_expired_;
   Counter* tasks_assigned_;
+  /// Leased cells the router's backfill chose because the policy came up
+  /// short.
+  Counter* tasks_backfilled_;
   Counter* answers_accepted_;
   Counter* answers_rejected_;
   Counter* answers_retracted_;

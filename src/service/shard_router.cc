@@ -334,7 +334,6 @@ ServiceStats ShardRouter::Stats() const {
     total.answers_retracted += s.answers_retracted;
     total.answers_restored += s.answers_restored;
     total.assignments += s.assignments;
-    total.backfilled += s.backfilled;
     total.budget_spent += s.budget_spent;
     total.budget_remaining += s.budget_remaining;
     total.engine_refreshes += s.engine_refreshes;

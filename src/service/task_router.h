@@ -23,8 +23,8 @@ const char* BackfillStrategyName(BackfillStrategy strategy);
 
 struct RouterOptions {
   BackfillStrategy backfill = BackfillStrategy::kLeastAnswered;
-  /// The policy's internal truth model is re-fit (Policy::Refresh) after
-  /// this many routed answers; between refreshes Observe keeps it warm.
+  /// The policy is refreshed (Policy::Refresh) after this many routed
+  /// answers; between refreshes Observe keeps its model current per cell.
   int refresh_every_answers = 32;
   /// Tie-breaking / backfill randomization seed.
   uint64_t seed = 1;
@@ -46,18 +46,18 @@ class TaskRouter {
   TaskRouter(std::unique_ptr<AssignmentPolicy> policy, RouterOptions options);
 
   /// Picks up to `k` distinct cells for `worker`, never returning a cell in
-  /// `unavailable` nor one the worker already answered. May block on an
-  /// inline policy refit (a full EM for the model-based policies) when the
-  /// policy has not been fitted yet.
+  /// `unavailable` nor one the worker already answered. The first call with
+  /// answers present refreshes the policy, which for the T-Crowd policies
+  /// is their one synchronous cold EM fit.
   std::vector<CellRef> Route(const Schema& schema, const AnswerSet& answers,
                              WorkerId worker, int k,
                              const std::vector<CellRef>& unavailable);
 
-  /// Feeds one accepted answer back into the policy (Observe), re-fitting it
-  /// on the configured cadence — the refit runs inline on the caller's
-  /// thread, so every refresh_every_answers-th call is expensive. The
-  /// policy warm-starts each refit from the previous one, so that cost is
-  /// a few EM iterations rather than a cold convergence.
+  /// Feeds one accepted answer back into the policy (Observe) and
+  /// refreshes it every refresh_every_answers-th call. A T-Crowd policy's
+  /// refresh costs the caller a snapshot of the answers and the install of
+  /// the fit its previous refresh launched; the EM itself runs on the
+  /// policy's worker thread (AssignmentPolicy::Refresh).
   void OnAnswer(const Schema& schema, const AnswerSet& answers,
                 const Answer& answer);
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "assignment/policies.h"
@@ -63,6 +64,31 @@ TEST(CrowdService, SessionLifecycle) {
   EXPECT_EQ(stats.sessions_started, 1);
   EXPECT_EQ(stats.sessions_active, 0);
   EXPECT_EQ(stats.answers_accepted, 1);
+}
+
+/// Declines every request, so every lease comes from the backfill.
+class DecliningPolicy : public AssignmentPolicy {
+ public:
+  std::string name() const override { return "Declining"; }
+  void Refresh(const Schema&, const AnswerSet&) override {}
+  bool SelectTaskExcluding(const Schema&, const AnswerSet&, WorkerId,
+                           const std::vector<CellRef>&, CellRef*) override {
+    return false;
+  }
+};
+
+TEST(CrowdService, CountsBackfilledLeasesInTheRegistry) {
+  CrowdService svc(SmallSchema(), 4, std::make_unique<DecliningPolicy>(),
+                   CheapConfig());
+  EXPECT_EQ(svc.RequestTasks(svc.StartSession(1), 3).size(), 3u);
+  EXPECT_EQ(svc.RequestTasks(svc.StartSession(2), 2).size(), 2u);
+  EXPECT_EQ(svc.metrics().counter("service.tasks_backfilled").value(), 5);
+  EXPECT_EQ(svc.metrics().counter("service.tasks_assigned").value(), 5);
+
+  // A policy that fills every request backfills nothing.
+  auto looping = MakeService();
+  EXPECT_EQ(looping->RequestTasks(looping->StartSession(1), 3).size(), 3u);
+  EXPECT_EQ(looping->metrics().counter("service.tasks_backfilled").value(), 0);
 }
 
 TEST(CrowdService, RejectsAnswersWithoutLease) {

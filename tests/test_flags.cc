@@ -126,5 +126,42 @@ TEST(Flags, EmptyValue) {
   EXPECT_EQ(p.GetString("empty", "x"), "");
 }
 
+TEST(Flags, ValidateAcceptsFlagsThatWereRead) {
+  auto p = ParseOk({"--n=3", "--verbose", "--ratio=0.5", "--name=x", "pos"});
+  EXPECT_EQ(p.GetInt("n"), 3);
+  EXPECT_TRUE(p.Has("verbose"));
+  EXPECT_DOUBLE_EQ(p.GetDouble("ratio"), 0.5);
+  EXPECT_EQ(p.GetString("name"), "x");
+  EXPECT_TRUE(p.Validate().ok()) << p.Validate().ToString();
+}
+
+TEST(Flags, ValidateRejectsFlagsNeverRead) {
+  auto p = ParseOk({"--threads=2", "--drivers=2", "--racy"});
+  EXPECT_EQ(p.GetInt("threads", 1), 2);
+  Status st = p.Validate();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("--drivers"), std::string::npos);
+  EXPECT_NE(st.message().find("--racy"), std::string::npos);
+  EXPECT_EQ(st.message().find("--threads"), std::string::npos);
+}
+
+TEST(Flags, ValidateRejectsValuesThatDoNotParse) {
+  auto p = ParseOk({"--threads=abc", "--ratio=x", "--on=maybe"});
+  EXPECT_EQ(p.GetInt("threads", 2), 2);
+  EXPECT_DOUBLE_EQ(p.GetDouble("ratio", 0.5), 0.5);
+  EXPECT_TRUE(p.GetBool("on", true));
+  Status st = p.Validate();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("--threads=abc"), std::string::npos);
+  EXPECT_NE(st.message().find("--ratio=x"), std::string::npos);
+  EXPECT_NE(st.message().find("--on=maybe"), std::string::npos);
+}
+
+TEST(Flags, ValidateIgnoresAbsentFlagsAndPositionals) {
+  auto p = ParseOk({"cmd", "--", "--after-double-dash"});
+  EXPECT_EQ(p.GetInt("absent", 4), 4);
+  EXPECT_TRUE(p.Validate().ok());
+}
+
 }  // namespace
 }  // namespace tcrowd

@@ -77,7 +77,10 @@ TEST(ServiceIntegration, ReplayDrainsBudgetAndMatchesBatchInference) {
   EXPECT_EQ(stats.budget_spent, static_cast<int64_t>(num_cells) * kTarget);
   EXPECT_EQ(stats.budget_remaining, 0);
   EXPECT_EQ(stats.sessions_active, 0);
-  EXPECT_GE(stats.engine_refreshes, 1);
+  // The engine's first refresh runs on its pool and may still be in flight
+  // when the replay returns: wait for it before counting refreshes.
+  svc.engine().WaitForRefresh();
+  EXPECT_GE(svc.Stats().engine_refreshes, 1);
   for (int i = 0; i < world.world.truth.num_rows(); ++i) {
     for (int j = 0; j < world.world.schema.num_columns(); ++j) {
       EXPECT_EQ(svc.AnswerCount(CellRef{i, j}), kTarget);

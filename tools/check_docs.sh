@@ -39,6 +39,10 @@
 #  10. one event loop, one driver loop: the retired poll() loop of
 #      net::Server and the load generator's multi-thread driver (their
 #      option, method and flag names) must not reappear in the sources.
+#  11. retired descriptions: the deleted `ServiceStats::backfilled` field
+#      (backfills are the `service.tasks_backfilled` counter) and the
+#      phrase "inline policy refit" (policies refit on their own worker
+#      thread) must not reappear in README.md, docs/ or src/.
 #
 # Run it locally after adding a module or touching the answer path:
 #
@@ -243,6 +247,19 @@ if [ -n "$second_paths" ]; then
   fail=1
 fi
 
+# Retired descriptions. Bracketed patterns, so this script does not match
+# itself.
+retired=$(cd "$repo_root" && grep -rnE \
+    'ServiceStats::backfill[e]d|int64_t backfill[e]d = |total\.backfill[e]d|stats\.backfill[e]d|inline policy refi[t]' \
+    README.md docs src 2>/dev/null || true)
+if [ -n "$retired" ]; then
+  echo "check_docs.sh: a retired description reappeared (backfills are the" \
+       "service.tasks_backfilled counter; policies refit off the caller's" \
+       "thread):" >&2
+  echo "$retired" | sed 's/^/  /' >&2
+  fail=1
+fi
+
 [ "$fail" -eq 0 ] || exit 1
 
-echo "check_docs.sh: all $(ls -d "$repo_root"/src/*/ | wc -l | tr -d ' ') src/ modules are documented; data-lifecycle, persistence, scenarios, observability, protocol, and sharding docs are fresh; one byte codec; one event loop and one driver loop."
+echo "check_docs.sh: all $(ls -d "$repo_root"/src/*/ | wc -l | tr -d ' ') src/ modules are documented; data-lifecycle, persistence, scenarios, observability, protocol, and sharding docs are fresh; one byte codec; one event loop and one driver loop; no retired descriptions."

@@ -189,6 +189,15 @@ Status WriteEstimates(const Schema& schema, const Table& estimate,
   return csv::WriteFile(path, rows);
 }
 
+/// Refuses flags the command never read and values that did not parse.
+/// Every command calls it after reading its flags, before any work.
+bool FlagsValid(const FlagParser& flags, const char* command) {
+  Status st = flags.Validate();
+  if (st.ok()) return true;
+  std::fprintf(stderr, "%s: %s\n", command, st.message().c_str());
+  return false;
+}
+
 bool TruthIsKnown(const Table& truth) {
   for (int i = 0; i < truth.num_rows(); ++i) {
     for (int j = 0; j < truth.num_columns(); ++j) {
@@ -207,10 +216,14 @@ int CmdSimulate(const FlagParser& flags) {
   uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   int apt = static_cast<int>(flags.GetInt("answers-per-task", -1));
 
-  Dataset dataset;
-  if (flags.Has("dataset")) {
+  // A paper dataset fixes the table; the custom-table flags apply only
+  // without one.
+  const bool paper = flags.Has("dataset");
+  sim::PaperDataset pd = sim::PaperDataset::kRestaurant;
+  sim::TableGeneratorOptions topt;
+  sim::CrowdOptions copt;
+  if (paper) {
     std::string which = flags.GetString("dataset");
-    sim::PaperDataset pd;
     if (which == "celebrity") {
       pd = sim::PaperDataset::kCelebrity;
     } else if (which == "restaurant") {
@@ -221,18 +234,22 @@ int CmdSimulate(const FlagParser& flags) {
       std::fprintf(stderr, "simulate: unknown --dataset=%s\n", which.c_str());
       return 2;
     }
+  } else {
+    topt.num_rows = static_cast<int>(flags.GetInt("rows", 100));
+    topt.num_cols = static_cast<int>(flags.GetInt("cols", 8));
+    topt.categorical_ratio = flags.GetDouble("ratio", 0.5);
+    topt.mean_difficulty = flags.GetDouble("difficulty", 1.0);
+    copt.num_workers = static_cast<int>(flags.GetInt("workers", 50));
+  }
+  if (!FlagsValid(flags, "simulate")) return 2;
+
+  Dataset dataset;
+  if (paper) {
     sim::SynthesizerOptions opt;
     opt.seed = seed;
     opt.answers_per_task = apt;
     dataset = std::move(sim::SynthesizeDataset(pd, opt).dataset);
   } else {
-    sim::TableGeneratorOptions topt;
-    topt.num_rows = static_cast<int>(flags.GetInt("rows", 100));
-    topt.num_cols = static_cast<int>(flags.GetInt("cols", 8));
-    topt.categorical_ratio = flags.GetDouble("ratio", 0.5);
-    topt.mean_difficulty = flags.GetDouble("difficulty", 1.0);
-    sim::CrowdOptions copt;
-    copt.num_workers = static_cast<int>(flags.GetInt("workers", 50));
     Rng rng(seed);
     sim::GeneratedTable table = sim::GenerateTable(topt, &rng);
     dataset = std::move(
@@ -256,6 +273,8 @@ int CmdSimulate(const FlagParser& flags) {
 int CmdInfer(const FlagParser& flags) {
   std::string dir = flags.GetString("data");
   std::string method_name = flags.GetString("method", "tcrowd");
+  std::string out = flags.GetString("out");
+  if (!FlagsValid(flags, "infer")) return 2;
   if (dir.empty()) {
     std::fprintf(stderr, "infer: --data=DIR is required\n");
     return 2;
@@ -279,7 +298,6 @@ int CmdInfer(const FlagParser& flags) {
                 Metrics::ErrorRate(dataset->truth, result.estimated_truth),
                 Metrics::Mnad(dataset->truth, result.estimated_truth));
   }
-  std::string out = flags.GetString("out");
   if (!out.empty()) {
     Status st = WriteEstimates(dataset->schema, result.estimated_truth, out);
     if (!st.ok()) {
@@ -293,6 +311,7 @@ int CmdInfer(const FlagParser& flags) {
 
 int CmdEval(const FlagParser& flags) {
   std::string dir = flags.GetString("data");
+  if (!FlagsValid(flags, "eval")) return 2;
   if (dir.empty()) {
     std::fprintf(stderr, "eval: --data=DIR is required\n");
     return 2;
@@ -363,11 +382,6 @@ int CmdAssign(const FlagParser& flags) {
     return 2;
   }
 
-  sim::SynthesizerOptions opt;
-  opt.seed = seed;
-  opt.answers_per_task = 0;
-  auto world = sim::SynthesizeDataset(pd, opt);
-
   EndToEndConfig cfg;
   cfg.initial_answers_per_task = 2;
   cfg.max_answers_per_task =
@@ -376,6 +390,12 @@ int CmdAssign(const FlagParser& flags) {
   cfg.refresh_every_answers = 60;
   cfg.tasks_per_worker =
       static_cast<int>(flags.GetInt("tasks-per-worker", 1));
+  if (!FlagsValid(flags, "assign")) return 2;
+
+  sim::SynthesizerOptions opt;
+  opt.seed = seed;
+  opt.answers_per_task = 0;
+  auto world = sim::SynthesizeDataset(pd, opt);
 
   TCrowdModel inference(TCrowdOptions::Fast());
   EndToEndResult result =
@@ -454,14 +474,6 @@ int CmdServeSim(const FlagParser& flags) {
     return 2;
   }
 
-  // World: one of the paper's dataset stand-ins, or a custom table. The
-  // answer set starts EMPTY — every answer flows through the service.
-  sim::SynthesizedWorld world = tools::BuildServingWorld(sopt);
-  const std::string& world_name = world.dataset.name;
-
-  const std::string& policy_name = sopt.policy;
-  auto policy = MakePolicy(policy_name, seed);
-
   const std::string& checkpoint_dir = sopt.checkpoint_dir;
   int64_t crash_after = flags.GetInt("crash-after", 0);
   if (crash_after > 0 && checkpoint_dir.empty()) {
@@ -485,16 +497,6 @@ int CmdServeSim(const FlagParser& flags) {
     return 2;
   }
 
-  service::ServiceConfig config = tools::MakeServingConfig(sopt);
-  if (MakeMethod(config.inference.method, world.dataset.schema) == nullptr) {
-    std::fprintf(stderr, "serve-sim: unknown --engine=%s\n",
-                 config.inference.method.c_str());
-    return 2;
-  }
-
-  // World recipe carried in the event log's kRunStart header: everything
-  // `tcrowd replay` needs to rebuild this world and service config.
-  std::string recipe = tools::ServingRecipe(sopt);
   const std::string record_path = flags.GetString("record");
 
   sim::LoadGeneratorOptions load;
@@ -513,6 +515,32 @@ int CmdServeSim(const FlagParser& flags) {
       static_cast<int>(flags.GetInt("tasks-per-worker", 6));
   scenario_opt.max_arrivals = flags.GetInt("arrivals", 1000000);
   scenario_opt.seed = seed + 3;
+  const std::string curve_csv = flags.GetString("curve-csv");
+
+  const std::string metrics_out = flags.GetString("metrics-out");
+  const auto metrics_interval =
+      std::chrono::milliseconds(flags.GetInt("metrics-interval-ms", 1000));
+  const std::string report_json_path = flags.GetString("report-json");
+  if (!FlagsValid(flags, "serve-sim")) return 2;
+
+  // World: one of the paper's dataset stand-ins, or a custom table. The
+  // answer set starts EMPTY — every answer flows through the service.
+  sim::SynthesizedWorld world = tools::BuildServingWorld(sopt);
+  const std::string& world_name = world.dataset.name;
+
+  const std::string& policy_name = sopt.policy;
+  auto policy = MakePolicy(policy_name, seed);
+
+  service::ServiceConfig config = tools::MakeServingConfig(sopt);
+  if (MakeMethod(config.inference.method, world.dataset.schema) == nullptr) {
+    std::fprintf(stderr, "serve-sim: unknown --engine=%s\n",
+                 config.inference.method.c_str());
+    return 2;
+  }
+
+  // World recipe carried in the event log's kRunStart header: everything
+  // `tcrowd replay` needs to rebuild this world and service config.
+  std::string recipe = tools::ServingRecipe(sopt);
 
   if (crash_after > 0) {
     // Crash drill (docs/PERSISTENCE.md): phase 1 serves until crash_after
@@ -639,13 +667,10 @@ int CmdServeSim(const FlagParser& flags) {
   // destroyed first on every exit path, so the final at-exit export always
   // runs against a live registry.
   std::unique_ptr<MetricsExporter> exporter;
-  const std::string metrics_out = flags.GetString("metrics-out");
   if (!metrics_out.empty()) {
-    exporter = std::make_unique<MetricsExporter>(
-        &backend->metrics(), metrics_out,
-        std::chrono::milliseconds(flags.GetInt("metrics-interval-ms", 1000)));
+    exporter = std::make_unique<MetricsExporter>(&backend->metrics(),
+                                                 metrics_out, metrics_interval);
   }
-  const std::string report_json_path = flags.GetString("report-json");
 
   // Shared run epilogue: publish the machine-readable report, close the
   // event log, and write the final metrics exposition.
@@ -712,7 +737,6 @@ int CmdServeSim(const FlagParser& flags) {
     }
     curve.Print();
 
-    std::string curve_csv = flags.GetString("curve-csv");
     if (!curve_csv.empty()) {
       std::string csv = sim::FormatQualityCurveCsv(report);
       std::FILE* f = std::fopen(curve_csv.c_str(), "w");
@@ -797,6 +821,9 @@ int CmdReplay(const FlagParser& flags) {
   if (!ApplyTraceFlag(flags)) return 2;
   std::string path = flags.positional().empty() ? flags.GetString("log")
                                                 : flags.positional()[0];
+  const bool threads_given = flags.Has("threads");
+  const int threads = static_cast<int>(flags.GetInt("threads", 2));
+  if (!FlagsValid(flags, "replay")) return 2;
   if (path.empty()) {
     std::fprintf(stderr, "replay: usage: tcrowd replay <event-log>\n");
     return 2;
@@ -878,9 +905,7 @@ int CmdReplay(const FlagParser& flags) {
   // log, not the router), and the determinism tests drive exactly this
   // override.
   const int recorded_threads = std::atoi(recipe_get("threads", "2").c_str());
-  config.num_threads = flags.Has("threads")
-                           ? static_cast<int>(flags.GetInt("threads", 2))
-                           : recorded_threads;
+  config.num_threads = threads_given ? threads : recorded_threads;
   config.inference.method = recipe_get("engine", "tcrowd");
   config.inference.staleness_threshold =
       std::atoi(recipe_get("staleness", "64").c_str());
@@ -963,20 +988,15 @@ int CmdClient(const FlagParser& flags) {
   bool metrics = flags.GetBool("metrics", false);
   if (!drive && !finalize && !metrics) stats_wanted = true;
 
+  // The world and load flags apply to --drive only.
+  tools::ServingOptions sopt;
+  sim::LoadGeneratorOptions load;
   if (drive) {
-    // Rebuild the server's world locally (same flags + seed derivation as
-    // tcrowd_serverd, via the shared serving options); the Hello
-    // schema-fingerprint handshake catches a mismatch before any answer is
-    // submitted.
-    tools::ServingOptions sopt;
     st = tools::ParseServingOptions(flags, &sopt);
     if (!st.ok()) {
       std::fprintf(stderr, "client: %s\n", st.message().c_str());
       return 2;
     }
-    sim::SynthesizedWorld world = tools::BuildServingWorld(sopt);
-
-    sim::LoadGeneratorOptions load;
     load.connect = connect;
     load.num_connections =
         static_cast<int>(flags.GetInt("connections", 4));
@@ -986,7 +1006,15 @@ int CmdClient(const FlagParser& flags) {
     load.batch_size = static_cast<int>(flags.GetInt("batch-size", 1));
     load.abandon_prob = flags.GetDouble("abandon", 0.0);
     load.seed = seed + 3;  // serve-sim's derivation: same stream, same world
+  }
+  if (!FlagsValid(flags, "client")) return 2;
 
+  if (drive) {
+    // Rebuild the server's world locally (same flags + seed derivation as
+    // tcrowd_serverd, via the shared serving options); the Hello
+    // schema-fingerprint handshake catches a mismatch before any answer is
+    // submitted.
+    sim::SynthesizedWorld world = tools::BuildServingWorld(sopt);
     sim::LoadGenerator generator(world.crowd.get(), nullptr, load);
     sim::LoadReport report = generator.Run();
     if (!report.socket_status.ok()) {
@@ -1114,6 +1142,7 @@ int CmdClient(const FlagParser& flags) {
 int CmdInspect(const FlagParser& flags) {
   std::string dir = flags.positional().empty() ? flags.GetString("dir")
                                                : flags.positional()[0];
+  if (!FlagsValid(flags, "inspect")) return 2;
   if (dir.empty()) {
     std::fprintf(stderr, "inspect: usage: tcrowd inspect <snapshot-dir>\n");
     return 2;

@@ -125,16 +125,31 @@ int Main(int argc, const char* const* argv) {
   uint64_t seed = opt.seed;
   const std::string& policy_name = opt.policy;
 
+  // Role selection.
+  bool router_mode = flags.GetBool("router", false);
+  bool shard_mode = flags.Has("shard-index") || flags.Has("shard-count");
+  int num_shards = static_cast<int>(flags.GetInt("shards", 1));
+  const std::string connect_shard = flags.GetString("connect-shard");
+  int shard_index = static_cast<int>(flags.GetInt("shard-index", 0));
+  int shard_count = static_cast<int>(flags.GetInt("shard-count", 1));
+  const std::string record_path = flags.GetString("record");
+  // Router role: the shard daemons meter their own admission; shedding at
+  // the router too would double-count the same in-flight answers.
+  const int64_t inflight_budget =
+      flags.GetInt("inflight-budget", router_mode ? -1 : 0);
+  const std::string listen = flags.GetString("listen", "127.0.0.1:0");
+  st = flags.Validate();
+  if (!st.ok()) {
+    std::fprintf(stderr, "tcrowd_serverd: %s\n", st.message().c_str());
+    return 2;
+  }
+
   // World: identical construction (and seed derivation) to serve-sim, so a
   // client — or a router and its shard daemons — rebuilding the world from
   // the same flags gets the same schema fingerprint and generative model.
   sim::SynthesizedWorld world = tools::BuildServingWorld(opt);
   service::ServiceConfig config = tools::MakeServingConfig(opt);
 
-  // Role selection.
-  bool router_mode = flags.GetBool("router", false);
-  bool shard_mode = flags.Has("shard-index") || flags.Has("shard-count");
-  int num_shards = static_cast<int>(flags.GetInt("shards", 1));
   if (num_shards < 1) {
     std::fprintf(stderr, "tcrowd_serverd: --shards must be >= 1\n");
     return 2;
@@ -149,8 +164,7 @@ int Main(int argc, const char* const* argv) {
 
   std::vector<std::pair<std::string, uint16_t>> shard_addrs;
   if (router_mode) {
-    for (const std::string& addr :
-         Split(flags.GetString("connect-shard"), ',')) {
+    for (const std::string& addr : Split(connect_shard, ',')) {
       std::string host;
       uint16_t port = 0;
       st = net::ParseHostPort(addr, &host, &port);
@@ -170,8 +184,6 @@ int Main(int argc, const char* const* argv) {
     num_shards = static_cast<int>(shard_addrs.size());
   }
 
-  int shard_index = static_cast<int>(flags.GetInt("shard-index", 0));
-  int shard_count = static_cast<int>(flags.GetInt("shard-count", 1));
   if (shard_mode &&
       (shard_count < 1 || shard_index < 0 || shard_index >= shard_count)) {
     std::fprintf(stderr,
@@ -184,7 +196,6 @@ int Main(int argc, const char* const* argv) {
   std::string recipe = tools::ServingRecipe(opt);
 
   std::unique_ptr<EventRecorder> recorder;
-  const std::string record_path = flags.GetString("record");
   if (!record_path.empty()) {
     if (num_shards > 1 || shard_mode) {
       // The deterministic event order lives above the shards; recording a
@@ -278,15 +289,11 @@ int Main(int argc, const char* const* argv) {
   }
 
   net::ServerOptions server_opt;
-  // Router role: the shard daemons meter their own admission; shedding at
-  // the router too would double-count the same in-flight answers.
-  server_opt.inflight_budget =
-      flags.GetInt("inflight-budget", router_mode ? -1 : 0);
+  server_opt.inflight_budget = inflight_budget;
 
   std::string host;
   uint16_t port = 0;
-  st = net::ParseHostPort(flags.GetString("listen", "127.0.0.1:0"), &host,
-                          &port);
+  st = net::ParseHostPort(listen, &host, &port);
   if (!st.ok()) {
     std::fprintf(stderr, "tcrowd_serverd: %s\n", st.ToString().c_str());
     return 2;
