@@ -7,13 +7,15 @@
 //
 // google-benchmark binary: one benchmark per answers-per-task level, plus a
 // parallel (thread-pool) variant demonstrating the Section 5.1
-// parallelization. BM_PolicyRefreshCaller times what a policy refresh
-// costs the serving thread now that the EM refit runs on the policy's own
-// worker.
+// parallelization. BM_StructureAwareLease times one lease of the
+// structure-assign serving workload's shape. BM_PolicyRefreshCaller times
+// what a policy refresh costs the serving thread now that the EM refit runs
+// on the policy's own worker.
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "assignment/policies.h"
 #include "common/logging.h"
@@ -58,6 +60,47 @@ void BM_StructureAwareSelect(benchmark::State& state) {
       prepared.world->dataset.answers.size());
 }
 
+// One structure-aware lease as the service issues it in the middle of a
+// run on the restaurant world: 60% of a 3-answers-per-task history
+// collected, the cells that already reached 3 answers excluded as
+// finalized, k = 2, and an incoming worker who has answered cells before
+// (so their row evidence conditions the gain).
+void BM_StructureAwareLease(benchmark::State& state) {
+  constexpr int kTarget = 3;
+  sim::SynthesizerOptions opt;
+  opt.seed = 13000;
+  opt.answers_per_task = kTarget;
+  sim::SynthesizedWorld world =
+      sim::SynthesizeDataset(sim::PaperDataset::kRestaurant, opt);
+  const AnswerSet& all = world.dataset.answers;
+  AnswerSet answers(all.num_rows(), all.num_cols());
+  for (size_t n = 0; n < all.size() * 6 / 10; ++n) {
+    answers.Add(all.answer(static_cast<int>(n)));
+  }
+  std::vector<CellRef> finalized;
+  for (int i = 0; i < answers.num_rows(); ++i) {
+    for (int j = 0; j < answers.num_cols(); ++j) {
+      if (answers.CellAnswerCount(i, j) >= kTarget) {
+        finalized.push_back(CellRef{i, j});
+      }
+    }
+  }
+  std::vector<WorkerId> workers = answers.Workers();
+  TCROWD_CHECK(!workers.empty());
+
+  StructureAwarePolicy policy(TCrowdOptions::Fast());
+  policy.Refresh(world.dataset.schema, answers);
+  size_t next = 0;
+  for (auto _ : state) {
+    std::vector<CellRef> leased = policy.SelectTasksExcluding(
+        world.dataset.schema, answers, workers[next], finalized, 2);
+    benchmark::DoNotOptimize(leased);
+    next = (next + 1) % workers.size();
+  }
+  state.counters["answers"] = static_cast<double>(answers.size());
+  state.counters["finalized"] = static_cast<double>(finalized.size());
+}
+
 // Caller-thread time of StructureAwarePolicy::Refresh over the first
 // range(0) answers of a restaurant world: building the next fit's snapshot,
 // installing the previous fit and refitting the correlation model. The EM
@@ -94,11 +137,15 @@ void BM_PolicyRefreshCaller(benchmark::State& state) {
 // the number of collected answers.
 BENCHMARK(BM_StructureAwareSelect)
     ->ArgsProduct({{2, 3, 4, 5}, {1}})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 // Parallel scoring with 8 threads, as in the paper's setup.
 BENCHMARK(BM_StructureAwareSelect)
     ->ArgsProduct({{5}, {8}})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+// The structure-assign serving workload's lease shape.
+BENCHMARK(BM_StructureAwareLease)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 BENCHMARK(BM_PolicyRefreshCaller)
     ->Arg(1000)

@@ -39,16 +39,14 @@ void ApplyIncrementalAnswer(const Answer& answer, TCrowdState* state) {
   }
 }
 
-BackgroundRefit::BackgroundRefit(TCrowdOptions options)
-    : model_(std::move(options)) {
+BackgroundRefit::BackgroundRefit(TCrowdOptions options, FitFn fit)
+    : model_(std::move(options)), fit_(std::move(fit)) {
+  if (fit_) return;
   fit_ = [this](const Schema& schema, const AnswerMatrixSnapshot& snapshot,
                 const TCrowdWarmStart* warm) {
     return model_.Fit(schema, snapshot, nullptr, warm);
   };
 }
-
-BackgroundRefit::BackgroundRefit(TCrowdOptions options, FitFn fit)
-    : model_(std::move(options)), fit_(std::move(fit)) {}
 
 void BackgroundRefit::Refresh(const Schema& schema, const AnswerSet& answers) {
   if (fitted_) {

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -45,9 +46,10 @@ class BackgroundRefit {
                                           const AnswerMatrixSnapshot& snapshot,
                                           const TCrowdWarmStart* warm)>;
 
-  explicit BackgroundRefit(TCrowdOptions options);
-  /// Runs `fit` instead of TCrowdModel::Fit (tests inject slow or failing
-  /// fits through this).
+  explicit BackgroundRefit(TCrowdOptions options)
+      : BackgroundRefit(std::move(options), FitFn()) {}
+  /// Runs `fit` instead of TCrowdModel::Fit when it is set (tests inject
+  /// slow or failing fits through this).
   BackgroundRefit(TCrowdOptions options, FitFn fit);
 
   BackgroundRefit(const BackgroundRefit&) = delete;

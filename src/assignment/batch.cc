@@ -31,24 +31,37 @@ std::vector<char> ExclusionBitmap(const AnswerSet& answers,
   return excluded;
 }
 
-std::vector<CellRef> CandidateCells(const AnswerSet& answers, WorkerId worker,
-                                    const std::vector<CellRef>& exclude) {
+void CollectCandidateCells(const AnswerSet& answers, WorkerId worker,
+                           const std::vector<CellRef>& exclude,
+                           std::vector<char>* blocked,
+                           std::vector<CellRef>* out) {
   // One pass over the worker's answer log marks everything they already
-  // answered in the same bitmap, so the cell scan below is O(1) per cell
-  // instead of rescanning the log per cell.
-  std::vector<char> excluded = ExclusionBitmap(answers, exclude);
+  // answered in the exclusion bitmap, so the cell scan below is O(1) per
+  // cell instead of rescanning the log per cell.
+  const int rows = answers.num_rows();
+  const int cols = answers.num_cols();
+  blocked->assign(static_cast<size_t>(rows) * cols, 0);
+  char* b = blocked->data();
+  for (const CellRef& cell : exclude) {
+    b[static_cast<size_t>(cell.row) * cols + cell.col] = 1;
+  }
   for (int id : answers.AnswersForWorker(worker)) {
     const CellRef& cell = answers.answer(id).cell;
-    excluded[static_cast<size_t>(cell.row) * answers.num_cols() + cell.col] =
-        1;
+    b[static_cast<size_t>(cell.row) * cols + cell.col] = 1;
   }
-  std::vector<CellRef> out;
-  for (int i = 0; i < answers.num_rows(); ++i) {
-    for (int j = 0; j < answers.num_cols(); ++j) {
-      if (excluded[static_cast<size_t>(i) * answers.num_cols() + j]) continue;
-      out.push_back(CellRef{i, j});
+  out->clear();
+  for (int i = 0; i < rows; ++i) {
+    for (int j = 0; j < cols; ++j) {
+      if (!*b++) out->push_back(CellRef{i, j});
     }
   }
+}
+
+std::vector<CellRef> CandidateCells(const AnswerSet& answers, WorkerId worker,
+                                    const std::vector<CellRef>& exclude) {
+  std::vector<char> blocked;
+  std::vector<CellRef> out;
+  CollectCandidateCells(answers, worker, exclude, &blocked, &out);
   return out;
 }
 

@@ -39,16 +39,30 @@ std::vector<ObservedError> ErrorCorrelationModel::ObservedErrorsInRow(
   return out;
 }
 
-std::vector<std::vector<ObservedError>> ErrorCorrelationModel::BuildRowEvidence(
-    const TCrowdState& state, const AnswerSet& answers, WorkerId worker) {
-  std::vector<std::vector<ObservedError>> by_row(state.num_rows);
-  for (int id : answers.AnswersForWorker(worker)) {
+void ErrorCorrelationModel::BuildRowEvidence(const TCrowdState& state,
+                                             const AnswerSet& answers,
+                                             WorkerId worker,
+                                             RowEvidence* out) {
+  // Counting sort by row: start[r + 1] counts row r's errors; after the
+  // prefix sum start[r] is row r's fill cursor, which the fill advances to
+  // row r's end, so a final shift by one restores the begin offsets.
+  const std::vector<int>& ids = answers.AnswersForWorker(worker);
+  std::vector<int>& start = out->row_start;
+  start.assign(static_cast<size_t>(state.num_rows) + 1, 0);
+  for (int id : ids) {
+    const CellRef& cell = answers.answer(id).cell;
+    if (state.column_active[cell.col]) ++start[cell.row + 1];
+  }
+  for (int r = 0; r < state.num_rows; ++r) start[r + 1] += start[r];
+  out->errors.resize(static_cast<size_t>(start[state.num_rows]));
+  for (int id : ids) {
     const Answer& a = answers.answer(id);
     if (!state.column_active[a.cell.col]) continue;
-    by_row[a.cell.row].push_back(
-        ObservedError{a.cell.col, AnswerError(state, a)});
+    out->errors[start[a.cell.row]++] =
+        ObservedError{a.cell.col, AnswerError(state, a)};
   }
-  return by_row;
+  for (int r = state.num_rows; r > 0; --r) start[r] = start[r - 1];
+  start[0] = 0;
 }
 
 ErrorCorrelationModel ErrorCorrelationModel::Fit(const TCrowdState& state,
@@ -270,10 +284,11 @@ math::Normal ErrorCorrelationModel::CondContinuousError(
 }
 
 double ErrorCorrelationModel::PredictCorrectProb(
-    int j, const std::vector<ObservedError>& evidence) const {
+    int j, const ObservedError* first, const ObservedError* last) const {
   if (col_types_[j] != ColumnType::kCategorical) return -1.0;
   double weighted = 0.0, total_weight = 0.0;
-  for (const ObservedError& obs : evidence) {
+  for (const ObservedError* it = first; it != last; ++it) {
+    const ObservedError& obs = *it;
     if (obs.col == j || !PairAvailable(j, obs.col)) continue;
     double w = std::fabs(Weight(j, obs.col));
     if (w <= 1e-9) continue;
@@ -285,7 +300,8 @@ double ErrorCorrelationModel::PredictCorrectProb(
 }
 
 math::Normal ErrorCorrelationModel::PredictErrorDist(
-    int j, const std::vector<ObservedError>& evidence, bool* ok) const {
+    int j, const ObservedError* first, const ObservedError* last,
+    bool* ok) const {
   *ok = false;
   if (col_types_[j] != ColumnType::kContinuous) {
     return math::Normal(0.0, 1.0);
@@ -293,7 +309,8 @@ math::Normal ErrorCorrelationModel::PredictErrorDist(
   // Linear combination of the per-evidence conditionals (Eq. 7); the
   // mixture is collapsed to its first two moments.
   double total_weight = 0.0, mean_acc = 0.0, second_acc = 0.0;
-  for (const ObservedError& obs : evidence) {
+  for (const ObservedError* it = first; it != last; ++it) {
+    const ObservedError& obs = *it;
     if (obs.col == j || !PairAvailable(j, obs.col)) continue;
     double w = std::fabs(Weight(j, obs.col));
     if (w <= 1e-9) continue;

@@ -19,6 +19,22 @@ struct ObservedError {
   double value = 0.0;
 };
 
+/// One worker's evidence sets E^u_r for every row at once, flat: `errors`
+/// grouped by ascending row, in answer order within a row, and row r's set
+/// is errors[row_start[r], row_start[r + 1]). Filled by
+/// ErrorCorrelationModel::BuildRowEvidence, which reuses the capacity.
+struct RowEvidence {
+  std::vector<int> row_start;  ///< num_rows + 1 offsets into `errors`
+  std::vector<ObservedError> errors;
+
+  const ObservedError* begin(int row) const {
+    return errors.data() + row_start[row];
+  }
+  const ObservedError* end(int row) const {
+    return errors.data() + row_start[row + 1];
+  }
+};
+
 /// The paper's Section 5.2 cross-attribute error model: marginal error
 /// distributions per column (Table 4), conditional distributions
 /// P(e_j | e_k) for all four type combinations (Table 5), and the Pearson
@@ -59,16 +75,27 @@ class ErrorCorrelationModel {
   /// Conditional N(e_j | e_k = obs.value) for a continuous target column j.
   math::Normal CondContinuousError(int j, const ObservedError& obs) const;
 
-  /// Eq. 7 combination across the worker's observed errors in the row.
-  /// Returns the predicted probability that the worker answers column j
-  /// CORRECTLY (1 - P(e_j=1 | E)); negative when no usable evidence exists.
+  /// Eq. 7 combination across the worker's observed errors in the row,
+  /// [first, last). Returns the predicted probability that the worker
+  /// answers column j CORRECTLY (1 - P(e_j=1 | E)); negative when no usable
+  /// evidence exists.
+  double PredictCorrectProb(int j, const ObservedError* first,
+                            const ObservedError* last) const;
   double PredictCorrectProb(int j,
-                            const std::vector<ObservedError>& evidence) const;
+                            const std::vector<ObservedError>& evidence) const {
+    return PredictCorrectProb(j, evidence.data(),
+                              evidence.data() + evidence.size());
+  }
   /// Eq. 7 combination for a continuous target: the mixture-collapsed
   /// conditional error distribution. `ok` is false when no evidence usable.
+  math::Normal PredictErrorDist(int j, const ObservedError* first,
+                                const ObservedError* last, bool* ok) const;
   math::Normal PredictErrorDist(int j,
                                 const std::vector<ObservedError>& evidence,
-                                bool* ok) const;
+                                bool* ok) const {
+    return PredictErrorDist(j, evidence.data(),
+                            evidence.data() + evidence.size(), ok);
+  }
 
   /// Computes the incoming worker's observed errors on row `row` (the set
   /// E^u_i), from their previous answers and the estimated truth in `state`.
@@ -76,15 +103,17 @@ class ErrorCorrelationModel {
       const TCrowdState& state, const AnswerSet& answers, WorkerId worker,
       int row, int exclude_col);
 
-  /// All of one worker's observed errors, grouped by row: entry r is the
-  /// worker's evidence set E^u_r over every active column, in answer order.
-  /// One O(worker answers) pass replaces the per-candidate rescan of the
-  /// worker's whole answer log that dominated the fig-11 assignment sweep —
-  /// build this once per incoming worker, then score every candidate cell
-  /// against its row's entry. Target-column entries need no filtering: the
-  /// Predict* combiners skip obs.col == j themselves.
-  static std::vector<std::vector<ObservedError>> BuildRowEvidence(
-      const TCrowdState& state, const AnswerSet& answers, WorkerId worker);
+  /// All of one worker's observed errors, grouped by row into `out`: row
+  /// r's range is the worker's evidence set E^u_r over every active column,
+  /// in answer order. Two O(worker answers) passes and no allocation once
+  /// `out` has grown replace the per-candidate rescan of the worker's whole
+  /// answer log that dominated the fig-11 assignment sweep — build this
+  /// once per incoming worker, then score every candidate cell against its
+  /// row's range. Target-column entries need no filtering: the Predict*
+  /// combiners skip obs.col == j themselves.
+  static void BuildRowEvidence(const TCrowdState& state,
+                               const AnswerSet& answers, WorkerId worker,
+                               RowEvidence* out);
 
  private:
   /// Conditional model for one ordered pair (target j given evidence k).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 
 #include "common/logging.h"
@@ -84,9 +83,16 @@ bool EntropyPolicy::SelectTaskExcluding(const Schema& schema,
 
 // ---------------------------------------------------------- InherentGain --
 
+InherentGainPolicy::InherentGainPolicy(BackgroundRefit::FitFn fit,
+                                       TCrowdOptions options, int num_threads)
+    : refit_(std::move(options), std::move(fit)),
+      pool_(num_threads > 1 ? std::make_unique<ThreadPool>(num_threads)
+                            : nullptr) {}
+
 void InherentGainPolicy::Refresh(const Schema& schema,
                                  const AnswerSet& answers) {
   refit_.Refresh(schema, answers);
+  table_.Rebuild(state());
 }
 
 void InherentGainPolicy::Observe(const Schema& schema,
@@ -97,54 +103,32 @@ void InherentGainPolicy::Observe(const Schema& schema,
     return;
   }
   refit_.Observe(answer);
+  table_.Update(state(), answer.cell);
+}
+
+double InherentGainPolicy::TableGain(CellRef cell, double phi,
+                                     double correct_prob,
+                                     double answer_variance_std) const {
+  const TCrowdState& s = state();
+  return CellGain(
+      table_.terms(cell),
+      s.posteriors[static_cast<size_t>(cell.row) * s.num_cols + cell.col]
+          .probs.data(),
+      s.options.epsilon, phi, correct_prob, answer_variance_std);
 }
 
 double InherentGainPolicy::Gain(const AnswerSet& answers, WorkerId worker,
                                 CellRef cell) const {
+  (void)answers;  // the state already reflects the collected answers
   TCROWD_CHECK(fitted()) << "Refresh() must run before Gain()";
-  InformationGain ig(&state());
-  return ig.InherentGain(answers, worker, cell);
+  return TableGain(cell, state().WorkerPhi(worker));
 }
 
-std::vector<CellRef> InherentGainPolicy::TopCandidates(
-    const AnswerSet& answers, WorkerId worker,
-    const std::vector<CellRef>& exclude,
-    const std::function<double(CellRef)>& score, int k) const {
-  std::vector<CellRef> candidates = CandidateCells(answers, worker, exclude);
-  std::vector<double> scores(candidates.size());
-  if (pool_ != nullptr) {
-    pool_->ParallelFor(candidates.size(),
-                       [&](size_t i) { scores[i] = score(candidates[i]); });
-  } else {
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      scores[i] = score(candidates[i]);
-    }
-  }
-  // Each round is the std::max_element scan (first of the maxima) over the
-  // candidates not yet taken, so ties and NaN scores resolve exactly as in
-  // repeated exclusion.
-  std::vector<CellRef> picked;
-  std::vector<char> taken(candidates.size(), 0);
-  const size_t rounds = std::min(candidates.size(),
-                                 static_cast<size_t>(std::max(k, 0)));
-  for (size_t n = 0; n < rounds; ++n) {
-    size_t best = candidates.size();
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      if (taken[i]) continue;
-      if (best == candidates.size() || scores[best] < scores[i]) best = i;
-    }
-    taken[best] = 1;
-    picked.push_back(candidates[best]);
-  }
-  return picked;
-}
-
-std::function<double(CellRef)> InherentGainPolicy::Scorer(
-    const AnswerSet& answers, WorkerId worker) const {
-  InformationGain ig(&state());
-  return [ig, &answers, worker](CellRef cell) {
-    return ig.InherentGain(answers, worker, cell);
-  };
+void InherentGainPolicy::ScoreCandidates(const AnswerSet& answers,
+                                         WorkerId worker) {
+  (void)answers;
+  const double phi = state().WorkerPhi(worker);
+  ScoreEach([&](CellRef cell) { return TableGain(cell, phi); });
 }
 
 bool InherentGainPolicy::SelectTaskExcluding(
@@ -161,7 +145,28 @@ std::vector<CellRef> InherentGainPolicy::SelectTasksExcluding(
     const Schema& schema, const AnswerSet& answers, WorkerId worker,
     const std::vector<CellRef>& exclude, int k) {
   if (!fitted()) Refresh(schema, answers);
-  return TopCandidates(answers, worker, exclude, Scorer(answers, worker), k);
+  CollectCandidateCells(answers, worker, exclude, &blocked_, &candidates_);
+  ScoreCandidates(answers, worker);
+  // With the state frozen a cell scores the same in every round, so one
+  // scoring serves all k rounds. Each round is the std::max_element scan
+  // (first of the maxima) over the candidates not yet taken, so ties and
+  // NaN scores resolve exactly as in repeated exclusion: by score
+  // descending, row-major among ties.
+  const size_t n = candidates_.size();
+  const size_t rounds = std::min(n, static_cast<size_t>(std::max(k, 0)));
+  std::vector<CellRef> picked;
+  picked.reserve(rounds);
+  taken_.assign(n, 0);
+  for (size_t round = 0; round < rounds; ++round) {
+    size_t best = n;
+    for (size_t i = 0; i < n; ++i) {
+      if (taken_[i]) continue;
+      if (best == n || scores_[best] < scores_[i]) best = i;
+    }
+    taken_[best] = 1;
+    picked.push_back(candidates_[best]);
+  }
+  return picked;
 }
 
 // -------------------------------------------------------- StructureAware --
@@ -175,48 +180,48 @@ void StructureAwarePolicy::Refresh(const Schema& schema,
 }
 
 double StructureAwarePolicy::GainWithEvidence(
-    const AnswerSet& answers, WorkerId worker, CellRef cell,
-    const std::vector<ObservedError>& evidence) const {
-  TCROWD_CHECK(fitted()) << "Refresh() must run before StructureGain()";
-  InformationGain ig(&state());
-  if (evidence.empty()) return ig.InherentGain(answers, worker, cell);
-
-  const ColumnSpec& col = state().schema.column(cell.col);
-  if (col.type == ColumnType::kCategorical) {
+    CellRef cell, double phi, const ObservedError* first,
+    const ObservedError* last) const {
+  if (first == last) return TableGain(cell, phi);
+  if (CellType(cell) == ColumnType::kCategorical) {
     // PredictCorrectProb ignores evidence on cell.col itself and reports
-    // "no usable evidence" as a negative value, which GainWithAnswerModel
-    // maps back to the inherent (model-default) gain.
-    double q = correlation_.PredictCorrectProb(cell.col, evidence);
-    return ig.GainWithAnswerModel(answers, worker, cell, q, -1.0);
+    // "no usable evidence" as a negative value, which CellGain maps back
+    // to the inherent (model-default) gain.
+    return TableGain(cell, phi,
+                     correlation_.PredictCorrectProb(cell.col, first, last));
   }
   bool ok = false;
-  math::Normal err = correlation_.PredictErrorDist(cell.col, evidence, &ok);
-  if (!ok) return ig.InherentGain(answers, worker, cell);
+  math::Normal err =
+      correlation_.PredictErrorDist(cell.col, first, last, &ok);
+  if (!ok) return TableGain(cell, phi);
   // A biased error still perturbs the posterior mean, so the effective
   // observation noise is the conditional second moment.
-  double var = err.variance() + err.mean() * err.mean();
-  return ig.GainWithAnswerModel(answers, worker, cell, -1.0, var);
+  return TableGain(cell, phi, -1.0,
+                   err.variance() + err.mean() * err.mean());
 }
 
 double StructureAwarePolicy::StructureGain(const AnswerSet& answers,
                                            WorkerId worker,
                                            CellRef cell) const {
-  return GainWithEvidence(
-      answers, worker, cell,
+  TCROWD_CHECK(fitted()) << "Refresh() must run before StructureGain()";
+  std::vector<ObservedError> evidence =
       ErrorCorrelationModel::ObservedErrorsInRow(state(), answers, worker,
-                                                 cell.row, cell.col));
+                                                 cell.row, cell.col);
+  return GainWithEvidence(cell, state().WorkerPhi(worker), evidence.data(),
+                          evidence.data() + evidence.size());
 }
 
-std::function<double(CellRef)> StructureAwarePolicy::Scorer(
-    const AnswerSet& answers, WorkerId worker) const {
+void StructureAwarePolicy::ScoreCandidates(const AnswerSet& answers,
+                                           WorkerId worker) {
   // The worker's evidence sets are a function of (worker, answers) only:
-  // build them once, score all candidates against their row's set.
-  std::vector<std::vector<ObservedError>> row_evidence =
-      ErrorCorrelationModel::BuildRowEvidence(state(), answers, worker);
-  return [this, &answers, worker,
-          row_evidence = std::move(row_evidence)](CellRef cell) {
-    return GainWithEvidence(answers, worker, cell, row_evidence[cell.row]);
-  };
+  // build them once, score all candidates against their row's range.
+  ErrorCorrelationModel::BuildRowEvidence(state(), answers, worker,
+                                          &evidence_);
+  const double phi = state().WorkerPhi(worker);
+  ScoreEach([&](CellRef cell) {
+    return GainWithEvidence(cell, phi, evidence_.begin(cell.row),
+                            evidence_.end(cell.row));
+  });
 }
 
 // ------------------------------------------------------------------ CDAS --

@@ -72,16 +72,23 @@ class EntropyPolicy : public AssignmentPolicy {
 
 /// Inherent information gain policy (paper Section 5.1): assigns the task
 /// whose expected delta entropy under this worker's answer model is
-/// largest. Task scoring is parallelized across a thread pool (the paper's
-/// Section 5.1 parallelization note). Its model is refit one Refresh()
-/// behind, off the caller's thread (BackgroundRefit).
+/// largest. Its model is refit one Refresh() behind, off the caller's
+/// thread (BackgroundRefit).
+///
+/// Candidates are scored from a CellGainTable of the installed state: the
+/// worker-independent terms of every cell's gain, rebuilt by each
+/// Refresh() (which installs a fit) and updated for the one cell each
+/// Observe() moves (Section 5.1: only the parameters that changed since
+/// the last fit need recomputing). A lease looks up the worker's phi_u
+/// once and evaluates CellGain() per candidate. Task scoring is
+/// parallelized across a thread pool when `num_threads` > 1 (the paper's
+/// Section 5.1 parallelization note).
 class InherentGainPolicy : public AssignmentPolicy {
  public:
   explicit InherentGainPolicy(TCrowdOptions options = TCrowdOptions(),
                               int num_threads = 1)
-      : refit_(std::move(options)),
-        pool_(num_threads > 1 ? std::make_unique<ThreadPool>(num_threads)
-                              : nullptr) {}
+      : InherentGainPolicy(BackgroundRefit::FitFn(), std::move(options),
+                           num_threads) {}
   std::string name() const override { return "InherentGain"; }
   void Refresh(const Schema& schema, const AnswerSet& answers) override;
   void Observe(const Schema& schema, const AnswerSet& answers,
@@ -94,7 +101,8 @@ class InherentGainPolicy : public AssignmentPolicy {
       const Schema& schema, const AnswerSet& answers, WorkerId worker,
       const std::vector<CellRef>& exclude, int k) override;
 
-  /// Exposed for diagnostics/tests: IG of one cell for one worker.
+  /// Exposed for diagnostics/tests: IG of one cell for one worker, as a
+  /// lease scores it.
   double Gain(const AnswerSet& answers, WorkerId worker, CellRef cell) const;
 
   /// Blocks until the fit the last Refresh() launched has finished
@@ -102,31 +110,58 @@ class InherentGainPolicy : public AssignmentPolicy {
   void WaitForRefit() { refit_.WaitForFit(); }
 
  protected:
+  /// Runs `fit` instead of TCrowdModel::Fit when it is set (tests inject
+  /// failing or doctored fits through this, as into BackgroundRefit).
+  InherentGainPolicy(BackgroundRefit::FitFn fit, TCrowdOptions options,
+                     int num_threads);
+
   const TCrowdState& state() const { return refit_.state(); }
   bool fitted() const { return refit_.fitted(); }
 
-  /// Scores every candidate once (possibly in parallel) and returns up to
-  /// `k` of them by score descending, row-major order among ties. With the
-  /// state frozen a cell scores the same in every round, so these are
-  /// exactly the picks of k argmax rounds that exclude the earlier picks.
-  std::vector<CellRef> TopCandidates(
-      const AnswerSet& answers, WorkerId worker,
-      const std::vector<CellRef>& exclude,
-      const std::function<double(CellRef)>& score, int k) const;
+  /// The gain of `cell` for a worker with phi_u = `phi`, from the cell
+  /// table; `correct_prob`/`answer_variance_std` override the answer model
+  /// as in InformationGain::GainWithAnswerModel.
+  double TableGain(CellRef cell, double phi, double correct_prob = -1.0,
+                   double answer_variance_std = -1.0) const;
+  ColumnType CellType(CellRef cell) const { return table_.terms(cell).type; }
 
-  /// The policy's scoring function for `worker` against the current state.
-  virtual std::function<double(CellRef)> Scorer(const AnswerSet& answers,
-                                                WorkerId worker) const;
+  /// Fills scores_[i] with `worker`'s gain on candidates_[i].
+  virtual void ScoreCandidates(const AnswerSet& answers, WorkerId worker);
 
+  /// scores_[i] = score(candidates_[i]) for every candidate, on the pool
+  /// when there is one.
+  template <typename Score>
+  void ScoreEach(const Score& score) {
+    scores_.resize(candidates_.size());
+    if (pool_ != nullptr) {
+      pool_->ParallelFor(candidates_.size(), [&](size_t i) {
+        scores_[i] = score(candidates_[i]);
+      });
+      return;
+    }
+    for (size_t i = 0; i < candidates_.size(); ++i) {
+      scores_[i] = score(candidates_[i]);
+    }
+  }
+
+ private:
   BackgroundRefit refit_;
+  CellGainTable table_;
   std::unique_ptr<ThreadPool> pool_;
+
+  /// Per-lease scratch, reused so a lease allocates nothing once grown.
+  std::vector<char> blocked_;
+  std::vector<CellRef> candidates_;
+  std::vector<double> scores_;
+  std::vector<char> taken_;
 };
 
 /// Structure-aware information gain (paper Section 5.2): like
 /// InherentGainPolicy, but when the incoming worker has already answered
 /// other cells of the same row, the conditional error model P(e_j | e_k)
 /// sharpens (or degrades) the predicted answer quality before computing the
-/// gain.
+/// gain. The worker's evidence is built once per lease (RowEvidence), the
+/// gain itself read from the inherited cell table.
 class StructureAwarePolicy : public InherentGainPolicy {
  public:
   explicit StructureAwarePolicy(
@@ -134,32 +169,38 @@ class StructureAwarePolicy : public InherentGainPolicy {
       ErrorCorrelationModel::Options corr_options =
           ErrorCorrelationModel::Options(),
       int num_threads = 1)
-      : InherentGainPolicy(std::move(options), num_threads),
-        corr_options_(corr_options) {}
+      : StructureAwarePolicy(BackgroundRefit::FitFn(), std::move(options),
+                             corr_options, num_threads) {}
   std::string name() const override { return "StructureAware"; }
   void Refresh(const Schema& schema, const AnswerSet& answers) override;
 
-  /// Structure-aware gain of one cell (diagnostics/tests).
+  /// Structure-aware gain of one cell, as a lease scores it
+  /// (diagnostics/tests).
   double StructureGain(const AnswerSet& answers, WorkerId worker,
                        CellRef cell) const;
 
   const ErrorCorrelationModel& correlation() const { return correlation_; }
 
  protected:
-  std::function<double(CellRef)> Scorer(const AnswerSet& answers,
-                                        WorkerId worker) const override;
+  /// As InherentGainPolicy's (tests inject fits through this).
+  StructureAwarePolicy(BackgroundRefit::FitFn fit, TCrowdOptions options,
+                       ErrorCorrelationModel::Options corr_options,
+                       int num_threads)
+      : InherentGainPolicy(std::move(fit), std::move(options), num_threads),
+        corr_options_(corr_options) {}
+
+  void ScoreCandidates(const AnswerSet& answers, WorkerId worker) override;
 
  private:
-  /// StructureGain against a prebuilt evidence set for the cell's row (may
-  /// contain target-column entries; the correlation combiners skip them).
-  /// The select path builds the worker's evidence once and scores every
-  /// candidate through this.
-  double GainWithEvidence(const AnswerSet& answers, WorkerId worker,
-                          CellRef cell,
-                          const std::vector<ObservedError>& evidence) const;
+  /// The structure-aware gain of `cell` for a worker with phi_u = `phi`
+  /// whose evidence set for the cell's row is [first, last) (it may hold
+  /// target-column entries; the correlation combiners skip them).
+  double GainWithEvidence(CellRef cell, double phi, const ObservedError* first,
+                          const ObservedError* last) const;
 
   ErrorCorrelationModel::Options corr_options_;
   ErrorCorrelationModel correlation_;
+  RowEvidence evidence_;  ///< per-lease scratch
 };
 
 /// CDAS [20]: a quality-sensitive termination model. Tasks whose current

@@ -90,6 +90,14 @@ class AssignmentPolicy {
 std::vector<CellRef> CandidateCells(const AnswerSet& answers, WorkerId worker,
                                     const std::vector<CellRef>& exclude);
 
+/// CandidateCells into `out`, row-major, using `blocked` as the exclusion
+/// bitmap; both keep their capacity, so a caller that passes the same two
+/// buffers every call allocates nothing once they have grown.
+void CollectCandidateCells(const AnswerSet& answers, WorkerId worker,
+                           const std::vector<CellRef>& exclude,
+                           std::vector<char>* blocked,
+                           std::vector<CellRef>* out);
+
 /// Row-major membership bitmap of `exclude` (size rows*cols). The service
 /// layer passes O(cells)-long exclusion lists, so policies test against this
 /// instead of a per-cell std::find.

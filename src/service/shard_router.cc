@@ -50,7 +50,15 @@ ShardRouter::ShardRouter(const Schema& schema, int num_rows,
                          ShardRouterConfig config)
     : schema_(schema),
       num_rows_(num_rows),
-      config_(std::move(config)) {
+      config_(std::move(config)),
+      sessions_started_(&metrics_.counter("service.sessions_started")),
+      sessions_ended_(&metrics_.counter("service.sessions_ended")),
+      sessions_expired_(&metrics_.counter("service.sessions_expired")),
+      tasks_assigned_(&metrics_.counter("service.tasks_assigned")),
+      answers_accepted_(&metrics_.counter("service.answers_accepted")),
+      answers_rejected_(&metrics_.counter("service.answers_rejected")),
+      answers_retracted_(&metrics_.counter("service.answers_retracted")),
+      answer_batches_(&metrics_.counter("service.answer_batches")) {
   TCROWD_CHECK(config_.num_shards >= 1);
   TCROWD_CHECK(config_.num_shards <= num_rows_);
   TCROWD_CHECK(static_cast<bool>(config_.policy_factory) ||
@@ -116,7 +124,7 @@ ShardRouter::SessionId ShardRouter::StartSession(WorkerId worker) {
     }
   }
   sessions_.emplace(id, std::move(session));
-  ++sessions_started_total_;
+  sessions_started_->Increment();
   return id;
 }
 
@@ -143,17 +151,22 @@ std::vector<CellRef> ShardRouter::RequestTasks(SessionId session, int k) {
       leased.push_back(CellRef{cell.row + ranges_[s].row_begin, cell.col});
     }
   }
+  tasks_assigned_->Increment(static_cast<int64_t>(leased.size()));
   return leased;
 }
 
 Status ShardRouter::SubmitAnswer(SessionId session, CellRef cell,
                                  const Value& value) {
-  std::vector<Status> statuses = SubmitAnswerBatch(session, {{cell, value}});
-  return statuses.empty() ? Status::NotFound("unknown session")
-                          : statuses.front();
+  return SubmitItems(session, {{cell, value}}).front();
 }
 
 std::vector<Status> ShardRouter::SubmitAnswerBatch(
+    SessionId session, const std::vector<std::pair<CellRef, Value>>& items) {
+  answer_batches_->Increment();
+  return SubmitItems(session, items);
+}
+
+std::vector<Status> ShardRouter::SubmitItems(
     SessionId session, const std::vector<std::pair<CellRef, Value>>& items) {
   std::lock_guard<std::mutex> lock(mu_);
   int64_t now = NowNanos();
@@ -162,6 +175,7 @@ std::vector<Status> ShardRouter::SubmitAnswerBatch(
   auto it = sessions_.find(session);
   if (it == sessions_.end()) {
     for (auto& st : statuses) st = Status::NotFound("unknown session");
+    answers_rejected_->Increment(static_cast<int64_t>(items.size()));
     return statuses;
   }
   GlobalSession& gs = it->second;
@@ -203,7 +217,11 @@ std::vector<Status> ShardRouter::SubmitAnswerBatch(
   // order — this ledger order is what merged Finalize sorts by, so the
   // merged log replays the exact submission history.
   for (size_t i = 0; i < items.size(); ++i) {
-    if (!statuses[i].ok()) continue;
+    if (!statuses[i].ok()) {
+      answers_rejected_->Increment();
+      continue;
+    }
+    answers_accepted_->Increment();
     int s = item_shard[i];
     SeqEntry entry;
     entry.seq = next_seq_++;
@@ -232,6 +250,7 @@ Status ShardRouter::RetractAnswer(WorkerId worker, CellRef cell) {
     if (rit->live && rit->answer.worker == worker &&
         rit->answer.cell == cell) {
       rit->live = false;
+      answers_retracted_->Increment();
       return st;
     }
   }
@@ -275,6 +294,7 @@ Status ShardRouter::EndSession(SessionId session) {
   if (it == sessions_.end()) return Status::NotFound("unknown session");
   EndSubSessionsLocked(&it->second);
   sessions_.erase(it);
+  sessions_ended_->Increment();
   return Status::Ok();
 }
 
@@ -307,7 +327,7 @@ int ShardRouter::ExpireStaleSessionsLocked(int64_t now, bool force) {
       ++it;
     }
   }
-  sessions_expired_total_ += expired;
+  sessions_expired_->Increment(expired);
   return expired;
 }
 
@@ -340,9 +360,9 @@ ServiceStats ShardRouter::Stats() const {
   }
   // Session accounting is router-global (the sub-sessions a shard counts
   // are an implementation detail, N per worker arrival).
-  total.sessions_started = sessions_started_total_;
+  total.sessions_started = sessions_started_->value();
   total.sessions_active = static_cast<int64_t>(sessions_.size());
-  total.sessions_expired = sessions_expired_total_;
+  total.sessions_expired = sessions_expired_->value();
   return total;
 }
 

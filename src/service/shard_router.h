@@ -182,6 +182,9 @@ class ShardRouter : public ServingBackend {
   int ExpireStaleSessionsLocked(int64_t now, bool force);
   /// Ends `session`'s sub-sessions on every live shard; `mu_` must be held.
   void EndSubSessionsLocked(GlobalSession* session);
+  /// SubmitAnswerBatch without counting a batch (SubmitAnswer is one item).
+  std::vector<Status> SubmitItems(
+      SessionId session, const std::vector<std::pair<CellRef, Value>>& items);
 
   const Schema schema_;
   const int num_rows_;
@@ -189,13 +192,22 @@ class ShardRouter : public ServingBackend {
   std::vector<ShardRange> ranges_;
   std::vector<std::unique_ptr<ShardBackend>> shards_;
 
+  /// The service.* counters CrowdService exports, counted at the router's
+  /// own API boundary (a shard's registry counts its sub-sessions and its
+  /// share of the traffic, and is not exported by the router).
   MetricsRegistry metrics_;
+  Counter* sessions_started_;
+  Counter* sessions_ended_;
+  Counter* sessions_expired_;
+  Counter* tasks_assigned_;
+  Counter* answers_accepted_;
+  Counter* answers_rejected_;
+  Counter* answers_retracted_;
+  Counter* answer_batches_;
 
   mutable std::mutex mu_;
   std::unordered_map<SessionId, GlobalSession> sessions_;
   SessionId next_session_ = 1;
-  int64_t sessions_started_total_ = 0;
-  int64_t sessions_expired_total_ = 0;
   int64_t last_sweep_nanos_ = 0;
   uint64_t next_seq_ = 1;
   /// Per-shard arrival ledgers, append-ordered exactly like the shard

@@ -21,6 +21,7 @@
 #include "inference/segment_codec.h"
 #include "platform/event_log.h"
 #include "service/crowd_service.h"
+#include "simulation/load_generator.h"
 #include "test_helpers.h"
 
 namespace tcrowd::service {
@@ -399,6 +400,48 @@ TEST(ShardRouter, NamespaceTagRefusesAForeignPartitionLayout) {
     ShardRouter foreign(schema, rows, RouterConfig(4, dir));
     EXPECT_FALSE(foreign.checkpoint_status().ok());
   }
+}
+
+TEST(ShardRouter, ExportsServiceCountersAtItsOwnBoundary) {
+  SimWorld world(23, /*answers_per_task=*/0);
+  ShardRouterConfig config = RouterConfig(2);
+  config.base.target_answers_per_task = 2;
+  ShardRouter router(world.world.schema, world.world.truth.num_rows(),
+                     std::move(config));
+  sim::LoadGeneratorOptions load;
+  load.tasks_per_request = 3;
+  load.batch_size = 2;
+  load.abandon_prob = 0.1;
+  load.seed = 9;
+  sim::LoadGenerator generator(&world.crowd, &router, load);
+  sim::LoadReport report = generator.Run();
+  ASSERT_TRUE(router.Drained());
+  ASSERT_GT(report.batches, 0);
+  ASSERT_GT(report.abandoned_sessions, 0);
+
+  auto counter = [&](const char* name) {
+    return router.metrics().counter(name).value();
+  };
+  ServiceStats stats = router.Stats();
+  EXPECT_EQ(counter("service.sessions_started"), report.arrivals);
+  EXPECT_EQ(counter("service.sessions_started"), stats.sessions_started);
+  EXPECT_EQ(counter("service.sessions_ended"), report.arrivals);
+  EXPECT_EQ(counter("service.sessions_expired"), stats.sessions_expired);
+  EXPECT_EQ(counter("service.tasks_assigned"), report.assignments);
+  EXPECT_EQ(counter("service.tasks_assigned"), stats.assignments);
+  EXPECT_EQ(counter("service.answers_accepted"), report.answers);
+  EXPECT_EQ(counter("service.answers_accepted"), stats.answers_accepted);
+  EXPECT_EQ(counter("service.answers_rejected"), report.rejected);
+
+  // A retraction and a submit under an unknown session count too.
+  const Answer first = router.GatherAnswerLog().front();
+  ASSERT_TRUE(router.RetractAnswer(first.worker, first.cell).ok());
+  EXPECT_FALSE(router.SubmitAnswer(987654, first.cell, first.value).ok());
+  EXPECT_EQ(counter("service.answers_rejected"), report.rejected + 1);
+  EXPECT_EQ(counter("service.answers_retracted"), 1);
+  EXPECT_EQ(counter("service.answers_retracted"),
+            router.Stats().answers_retracted);
+  EXPECT_EQ(counter("service.answer_batches"), report.batches);
 }
 
 }  // namespace
