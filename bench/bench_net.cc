@@ -53,7 +53,6 @@ class NetBench {
   NetBench() : world_(MakeWorld()) {
     service::ServiceConfig config;
     config.target_answers_per_task = 1 << 20;  // never drain mid-run
-    config.num_threads = 2;
     config.inference.method = "tcrowd";
     config.inference.tcrowd_options = TCrowdOptions::Fast();
     // No refreshes: isolate the network + ingest path, not EM.

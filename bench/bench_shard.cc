@@ -83,7 +83,6 @@ service::ShardRouterConfig RouterConfig(int num_shards, bool with_fits) {
   service::ShardRouterConfig config;
   config.num_shards = num_shards;
   config.base.target_answers_per_task = 1000;  // the script owns acceptance
-  config.base.num_threads = 1;
   config.base.session_lease_timeout_seconds = 1 << 20;
   config.base.inference.method = "tcrowd";
   config.base.inference.tcrowd_options = TCrowdOptions::Fast();

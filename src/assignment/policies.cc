@@ -84,10 +84,8 @@ bool EntropyPolicy::SelectTaskExcluding(const Schema& schema,
 // ---------------------------------------------------------- InherentGain --
 
 InherentGainPolicy::InherentGainPolicy(BackgroundRefit::FitFn fit,
-                                       TCrowdOptions options, int num_threads)
-    : refit_(std::move(options), std::move(fit)),
-      pool_(num_threads > 1 ? std::make_unique<ThreadPool>(num_threads)
-                            : nullptr) {}
+                                       TCrowdOptions options)
+    : refit_(std::move(options), std::move(fit)) {}
 
 void InherentGainPolicy::Refresh(const Schema& schema,
                                  const AnswerSet& answers) {

@@ -1,7 +1,6 @@
 #ifndef TCROWD_ASSIGNMENT_POLICIES_H_
 #define TCROWD_ASSIGNMENT_POLICIES_H_
 
-#include <memory>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -11,7 +10,6 @@
 #include "assignment/info_gain.h"
 #include "assignment/policy.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "inference/inference_result.h"
 #include "inference/tcrowd_model.h"
 
@@ -80,15 +78,11 @@ class EntropyPolicy : public AssignmentPolicy {
 /// Refresh() (which installs a fit) and updated for the one cell each
 /// Observe() moves (Section 5.1: only the parameters that changed since
 /// the last fit need recomputing). A lease looks up the worker's phi_u
-/// once and evaluates CellGain() per candidate. Task scoring is
-/// parallelized across a thread pool when `num_threads` > 1 (the paper's
-/// Section 5.1 parallelization note).
+/// once and evaluates CellGain() per candidate.
 class InherentGainPolicy : public AssignmentPolicy {
  public:
-  explicit InherentGainPolicy(TCrowdOptions options = TCrowdOptions(),
-                              int num_threads = 1)
-      : InherentGainPolicy(BackgroundRefit::FitFn(), std::move(options),
-                           num_threads) {}
+  explicit InherentGainPolicy(TCrowdOptions options = TCrowdOptions())
+      : InherentGainPolicy(BackgroundRefit::FitFn(), std::move(options)) {}
   std::string name() const override { return "InherentGain"; }
   void Refresh(const Schema& schema, const AnswerSet& answers) override;
   void Observe(const Schema& schema, const AnswerSet& answers,
@@ -112,8 +106,7 @@ class InherentGainPolicy : public AssignmentPolicy {
  protected:
   /// Runs `fit` instead of TCrowdModel::Fit when it is set (tests inject
   /// failing or doctored fits through this, as into BackgroundRefit).
-  InherentGainPolicy(BackgroundRefit::FitFn fit, TCrowdOptions options,
-                     int num_threads);
+  InherentGainPolicy(BackgroundRefit::FitFn fit, TCrowdOptions options);
 
   const TCrowdState& state() const { return refit_.state(); }
   bool fitted() const { return refit_.fitted(); }
@@ -128,17 +121,10 @@ class InherentGainPolicy : public AssignmentPolicy {
   /// Fills scores_[i] with `worker`'s gain on candidates_[i].
   virtual void ScoreCandidates(const AnswerSet& answers, WorkerId worker);
 
-  /// scores_[i] = score(candidates_[i]) for every candidate, on the pool
-  /// when there is one.
+  /// scores_[i] = score(candidates_[i]) for every candidate.
   template <typename Score>
   void ScoreEach(const Score& score) {
     scores_.resize(candidates_.size());
-    if (pool_ != nullptr) {
-      pool_->ParallelFor(candidates_.size(), [&](size_t i) {
-        scores_[i] = score(candidates_[i]);
-      });
-      return;
-    }
     for (size_t i = 0; i < candidates_.size(); ++i) {
       scores_[i] = score(candidates_[i]);
     }
@@ -147,7 +133,6 @@ class InherentGainPolicy : public AssignmentPolicy {
  private:
   BackgroundRefit refit_;
   CellGainTable table_;
-  std::unique_ptr<ThreadPool> pool_;
 
   /// Per-lease scratch, reused so a lease allocates nothing once grown.
   std::vector<char> blocked_;
@@ -167,10 +152,9 @@ class StructureAwarePolicy : public InherentGainPolicy {
   explicit StructureAwarePolicy(
       TCrowdOptions options = TCrowdOptions(),
       ErrorCorrelationModel::Options corr_options =
-          ErrorCorrelationModel::Options(),
-      int num_threads = 1)
+          ErrorCorrelationModel::Options())
       : StructureAwarePolicy(BackgroundRefit::FitFn(), std::move(options),
-                             corr_options, num_threads) {}
+                             corr_options) {}
   std::string name() const override { return "StructureAware"; }
   void Refresh(const Schema& schema, const AnswerSet& answers) override;
 
@@ -184,9 +168,8 @@ class StructureAwarePolicy : public InherentGainPolicy {
  protected:
   /// As InherentGainPolicy's (tests inject fits through this).
   StructureAwarePolicy(BackgroundRefit::FitFn fit, TCrowdOptions options,
-                       ErrorCorrelationModel::Options corr_options,
-                       int num_threads)
-      : InherentGainPolicy(std::move(fit), std::move(options), num_threads),
+                       ErrorCorrelationModel::Options corr_options)
+      : InherentGainPolicy(std::move(fit), std::move(options)),
         corr_options_(corr_options) {}
 
   void ScoreCandidates(const AnswerSet& answers, WorkerId worker) override;

@@ -12,10 +12,9 @@
 
 namespace tcrowd {
 
-/// Fixed-size worker pool used to parallelize per-task information-gain
-/// scoring during assignment (the parallelization the paper sketches at the
-/// end of its Section 5.1) and to run the service layer's background EM
-/// refreshes.
+/// Fixed-size worker pool. It runs the EmExecutor's E/M-step shards, the
+/// service layer's background EM refreshes (one worker per CrowdService),
+/// and the T-Crowd policies' background refits (one worker each).
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (at least 1).

@@ -35,7 +35,7 @@ namespace tcrowd {
 /// fixed shard count. With one shard all work runs on the caller's thread
 /// in plain item order — bit-identical to the historical serial EM. Across
 /// different shard counts results agree only to floating-point reduction
-/// order (same contract TCrowdOptions::num_threads always had).
+/// order.
 ///
 /// Ownership: the executor owns its thread pool (created lazily — a
 /// 1-shard executor never spawns threads). It holds no reference to any

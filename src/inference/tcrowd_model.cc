@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include <memory>
-
 #include "common/logging.h"
 #include "inference/answer_segment.h"
 #include "inference/em_executor.h"
@@ -400,13 +398,9 @@ TCrowdState TCrowdModel::Fit(const Schema& schema,
   }
 
   // A caller-provided executor carries the persistent pool and scratch; the
-  // batch path falls back to a transient one (serial unless num_threads
-  // asks for shards).
-  std::unique_ptr<EmExecutor> own_executor;
-  if (executor == nullptr) {
-    own_executor = std::make_unique<EmExecutor>(options_.num_threads);
-    executor = own_executor.get();
-  }
+  // batch path runs on a serial one, which spawns no threads.
+  EmExecutor serial(1);
+  if (executor == nullptr) executor = &serial;
 
   ExpParams xp;
   xp.Refresh(layout, params);

@@ -60,14 +60,6 @@ struct TCrowdOptions {
   /// improves by less than this between EM iterations. 0 disables.
   double objective_tolerance = 0.0;
 
-  /// Threads used to parallelize the E-step and the M-step objective (the
-  /// parallel/distributed inference the paper lists as future work in its
-  /// Section 7). 1 = serial. Results are deterministic for a fixed thread
-  /// count; across thread counts they agree to floating-point reduction
-  /// order. Ignored when Fit() is handed a persistent EmExecutor — the
-  /// executor's shard count governs then.
-  int num_threads = 1;
-
   /// Cheaper settings for the inner loop of task-assignment experiments,
   /// where the model is refitted after every few answers and full
   /// convergence buys nothing.
@@ -154,15 +146,15 @@ class TCrowdModel : public TruthInference {
   InferenceResult Infer(const Schema& schema,
                         const AnswerSet& answers) const override;
 
-  /// Full fit, exposing the state task assignment needs. Spawns a transient
-  /// EmExecutor when options().num_threads > 1 (serial otherwise).
+  /// Full fit, exposing the state task assignment needs. Runs serially on
+  /// the caller's thread; pass an EmExecutor to shard it.
   TCrowdState Fit(const Schema& schema, const AnswerSet& answers) const;
 
   /// Full fit on a caller-provided persistent executor (the online serving
   /// path: the IncrementalInferenceEngine keeps one executor across
   /// refreshes so no fit ever spawns threads). The executor's shard count
-  /// overrides options().num_threads; pass nullptr for the transient
-  /// behavior of the two-argument overload. Blocks until converged; the
+  /// sets the fit's parallelism; pass nullptr to run serially, as the
+  /// two-argument overload does. Blocks until converged; the
   /// executor must not be driven by another fit concurrently. `warm` as in
   /// the snapshot overload.
   TCrowdState Fit(const Schema& schema, const AnswerSet& answers,
@@ -176,7 +168,7 @@ class TCrowdModel : public TruthInference {
   /// fit over N segments is bit-identical to a fit over one segment holding
   /// the same answers. The snapshot's standardization epoch and column mask
   /// are used as-is; the mask must match this model's options. Blocks until
-  /// converged; pass executor = nullptr for a transient serial executor.
+  /// converged; pass executor = nullptr to run serially.
   ///
   /// With `warm` null the EM starts cold (alpha = beta = 1, phi_u =
   /// options().initial_phi). Otherwise it starts from `warm`: ln alpha,

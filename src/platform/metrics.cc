@@ -192,8 +192,8 @@ std::string MetricsRegistry::ToString() const {
     out += StrFormat(
         "%-28s : n=%lld mean=%.1fus p50=%.0fus p95=%.0fus max=%.0fus\n",
         name.c_str(), static_cast<long long>(lat->count()),
-        lat->mean_micros(), lat->PercentileMicros(0.5),
-        lat->PercentileMicros(0.95), lat->max_micros());
+        lat->mean_micros(), lat->ApproxPercentile(0.5),
+        lat->ApproxPercentile(0.95), lat->max_micros());
   }
   return out;
 }

@@ -87,8 +87,6 @@ class LatencyStats {
   /// observed max (which also bounds the otherwise-open last bucket).
   /// Returns 0 when no samples were recorded.
   double ApproxPercentile(double q) const;
-  /// Legacy name for ApproxPercentile.
-  double PercentileMicros(double p) const { return ApproxPercentile(p); }
 
   Snapshot GetSnapshot() const;
 

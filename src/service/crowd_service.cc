@@ -55,10 +55,10 @@ CrowdService::CrowdService(const Schema& schema, int num_rows,
       tasks_finalized_(&metrics_.counter("service.tasks_finalized")),
       request_latency_(&metrics_.latency("service.request_tasks")),
       submit_latency_(&metrics_.latency("service.submit_answer")),
-      pool_(static_cast<size_t>(std::max(1, config_.num_threads))),
       engine_(std::make_unique<IncrementalInferenceEngine>(
           schema, num_rows,
-          WithRecorder(config_.inference, config_.recorder), &pool_)),
+          WithRecorder(config_.inference, config_.recorder),
+          &refresh_worker_)),
       router_(std::move(policy), config_.router),
       answers_(num_rows, schema.num_columns()),
       tasks_(static_cast<size_t>(num_rows) * schema.num_columns()) {
@@ -96,7 +96,7 @@ CrowdService::CrowdService(const Schema& schema, int num_rows,
     answers_restored_->Increment(static_cast<int64_t>(recovered.size()));
     answers_accepted_->Increment(static_cast<int64_t>(recovered.size()));
     // Bring estimates back online without blocking startup (async mode
-    // runs the fit on the service pool).
+    // runs the fit on the refresh worker).
     engine_->RequestRefresh();
   }
   TCROWD_TRACE(kService, kInfo, "service up", tasks_.size(),
@@ -176,7 +176,6 @@ int CrowdService::ExpireStaleSessionsLocked(int64_t now, bool force) {
   }
   const int expired = static_cast<int>(expired_ids.size());
   if (expired > 0) {
-    sessions_expired_total_ += expired;
     sessions_expired_->Increment(expired);
     TCROWD_TRACE(kService, kInfo, "sessions expired",
                  static_cast<uint64_t>(expired), sessions_.size());
@@ -202,7 +201,6 @@ CrowdService::SessionId CrowdService::StartSession(WorkerId worker) {
   Session& sess = sessions_[id];
   sess.worker = worker;
   sess.last_active_nanos = now;
-  ++sessions_started_total_;
   sessions_started_->Increment();
   TCROWD_TRACE(kService, kDebug, "session start", static_cast<uint64_t>(id),
                static_cast<uint64_t>(static_cast<uint32_t>(worker)));
@@ -300,7 +298,6 @@ Status CrowdService::AcceptAnswerLocked(Session* session, CellRef cell,
   auto lease =
       std::find(session->leases.begin(), session->leases.end(), cell);
   if (lease == session->leases.end()) {
-    ++rejected_;
     answers_rejected_->Increment();
     return Status::FailedPrecondition(
         StrFormat("session holds no lease on cell (%d,%d)", cell.row,
@@ -314,7 +311,6 @@ Status CrowdService::AcceptAnswerLocked(Session* session, CellRef cell,
                         (col.type == ColumnType::kContinuous &&
                          value.is_continuous()));
   if (!type_ok) {
-    ++rejected_;
     answers_rejected_->Increment();
     return Status::InvalidArgument(
         StrFormat("value %s does not fit column '%s'",
@@ -345,45 +341,18 @@ Status CrowdService::AcceptAnswerLocked(Session* session, CellRef cell,
 Status CrowdService::SubmitAnswer(SessionId session, CellRef cell,
                                   const Value& value) {
   ScopedLatencyTimer timer(submit_latency_);
-  Answer answer;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    int64_t now = NowNanos();
-    ExpireStaleSessionsLocked(now);
-    // Single-item submits record the same kAnswerBatch frame as the batch
-    // path; the log captures the acceptance status either way, so replay
-    // can assert the replayed service reached the same verdict.
-    auto record = [&](const Status& st) {
-      if (config_.recorder == nullptr) return;
-      config_.recorder->RecordAnswerBatch(
-          static_cast<uint64_t>(session),
-          {{cell, value, static_cast<uint8_t>(st.code())}});
-    };
-    auto it = sessions_.find(session);
-    if (it == sessions_.end()) {
-      ++rejected_;
-      answers_rejected_->Increment();
-      Status st = Status::NotFound(
-          StrFormat("unknown session %lld", static_cast<long long>(session)));
-      record(st);
-      return st;
-    }
-    Session& sess = it->second;
-    sess.last_active_nanos = now;
-    Status st = AcceptAnswerLocked(&sess, cell, value, &answer);
-    record(st);
-    if (!st.ok()) return st;
-  }
-  // The engine queues the answer under its own ingest lock and may kick off
-  // an async EM refresh; no service state is touched past this point.
-  engine_->SubmitAnswer(answer);
-  return Status::Ok();
+  return SubmitItems(session, {{cell, value}}).front();
 }
 
 std::vector<Status> CrowdService::SubmitAnswerBatch(
     SessionId session, const std::vector<std::pair<CellRef, Value>>& items) {
   ScopedLatencyTimer timer(submit_latency_);
   answer_batches_->Increment();
+  return SubmitItems(session, items);
+}
+
+std::vector<Status> CrowdService::SubmitItems(
+    SessionId session, const std::vector<std::pair<CellRef, Value>>& items) {
   std::vector<Status> statuses;
   statuses.reserve(items.size());
   std::vector<Answer> accepted;
@@ -392,8 +361,27 @@ std::vector<Status> CrowdService::SubmitAnswerBatch(
     std::lock_guard<std::mutex> lock(mu_);
     int64_t now = NowNanos();
     ExpireStaleSessionsLocked(now);
-    auto record = [&]() {
-      if (config_.recorder == nullptr) return;
+    auto it = sessions_.find(session);
+    if (it == sessions_.end()) {
+      answers_rejected_->Increment(static_cast<int64_t>(items.size()));
+      statuses.assign(
+          items.size(),
+          Status::NotFound(StrFormat("unknown session %lld",
+                                     static_cast<long long>(session))));
+    } else {
+      Session& sess = it->second;
+      sess.last_active_nanos = now;
+      for (const auto& [cell, value] : items) {
+        Answer answer;
+        Status st = AcceptAnswerLocked(&sess, cell, value, &answer);
+        if (st.ok()) accepted.push_back(answer);
+        statuses.push_back(std::move(st));
+      }
+    }
+    // Single submits and batches record the same kAnswerBatch frame; it
+    // captures each item's acceptance status, so replay can assert the
+    // replayed service reached the same verdicts.
+    if (config_.recorder != nullptr) {
       std::vector<AnswerEventItem> recorded;
       recorded.reserve(items.size());
       for (size_t k = 0; k < items.size(); ++k) {
@@ -402,29 +390,11 @@ std::vector<Status> CrowdService::SubmitAnswerBatch(
       }
       config_.recorder->RecordAnswerBatch(static_cast<uint64_t>(session),
                                           recorded);
-    };
-    auto it = sessions_.find(session);
-    if (it == sessions_.end()) {
-      rejected_ += static_cast<int64_t>(items.size());
-      answers_rejected_->Increment(static_cast<int64_t>(items.size()));
-      Status not_found = Status::NotFound(
-          StrFormat("unknown session %lld", static_cast<long long>(session)));
-      statuses.assign(items.size(), not_found);
-      record();
-      return statuses;
     }
-    Session& sess = it->second;
-    sess.last_active_nanos = now;
-    for (const auto& [cell, value] : items) {
-      Answer answer;
-      Status st = AcceptAnswerLocked(&sess, cell, value, &answer);
-      if (st.ok()) accepted.push_back(answer);
-      statuses.push_back(std::move(st));
-    }
-    record();
   }
-  // One engine hand-off for the whole page: the accepted answers enter the
-  // ingest queue in batch order and drain into the tail segment together.
+  // One engine hand-off for the whole page, outside the service mutex: the
+  // accepted answers enter the ingest queue in item order and may kick off
+  // an async EM refresh.
   if (!accepted.empty()) {
     engine_->SubmitAnswerBatch(accepted.data(), accepted.size());
   }
@@ -467,7 +437,6 @@ Status CrowdService::RetractAnswer(WorkerId worker, CellRef cell) {
     task.finalized = false;
     --finalized_count_;
   }
-  ++retractions_total_;
   answers_retracted_->Increment();
   return Status::Ok();
 }
@@ -524,12 +493,12 @@ ServiceStats CrowdService::Stats() const {
         break;
     }
   }
-  stats.sessions_started = sessions_started_total_;
+  stats.sessions_started = sessions_started_->value();
   stats.sessions_active = static_cast<int64_t>(sessions_.size());
-  stats.sessions_expired = sessions_expired_total_;
+  stats.sessions_expired = sessions_expired_->value();
   stats.answers_accepted = budget_spent_;
-  stats.answers_rejected = rejected_;
-  stats.answers_retracted = retractions_total_;
+  stats.answers_rejected = answers_rejected_->value();
+  stats.answers_retracted = answers_retracted_->value();
   stats.answers_restored = answers_restored_->value();
   stats.assignments = tasks_assigned_->value();
   stats.budget_spent = budget_spent_;

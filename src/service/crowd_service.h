@@ -40,8 +40,6 @@ struct ServiceConfig {
   /// Outstanding leases count against the budget (committed accounting), so
   /// the service never hands out work it cannot pay for.
   int64_t max_total_answers = -1;
-  /// Threads of the service-owned pool running background EM refreshes.
-  int num_threads = 2;
   /// Lease deadline: a session with no activity (StartSession /
   /// RequestTasks / SubmitAnswer) for longer than this is expired — its
   /// unanswered leases return to the open pool and their budget commitment
@@ -168,7 +166,10 @@ class ServingBackend {
 /// Thread-safety: all public methods may be called from concurrent driver
 /// threads. Request handling is serialized on one service mutex (policies
 /// are stateful); truth-inference refreshes run asynchronously on the
-/// service's own common::ThreadPool and never block the request path.
+/// service's own one-thread refresh worker and never block the request
+/// path. The engine runs at most one refresh at a time (requests coalesce),
+/// so one worker is all the refreshes ever occupy; their E/M steps fan out
+/// on the engine's EmExecutor (config.inference.num_shards).
 class CrowdService : public ServingBackend {
  public:
   using SessionId = ServingBackend::SessionId;
@@ -195,9 +196,9 @@ class CrowdService : public ServingBackend {
   /// Accepts one answer for a cell the session holds a lease on. Rejects
   /// answers without a lease, with a mismatched value type, or an
   /// out-of-range label. Never blocks on an EM refresh in the default
-  /// async configuration (refreshes run on the service's own pool); with
-  /// inference.async_refresh = false the staleness-crossing call runs the
-  /// refresh inline.
+  /// async configuration (refreshes run on the service's refresh worker);
+  /// with inference.async_refresh = false the staleness-crossing call runs
+  /// the refresh inline.
   Status SubmitAnswer(SessionId session, CellRef cell,
                       const Value& value) override;
 
@@ -318,10 +319,14 @@ class CrowdService : public ServingBackend {
   void ReleaseLeasesLocked(Session* session);
   /// Validates and books one answer (lease check, type check, task/budget
   /// accounting, router warm-up); `mu_` must be held. On success fills
-  /// `*out` for the engine hand-off. Shared by SubmitAnswer and
-  /// SubmitAnswerBatch so the two paths stay accounting-identical.
+  /// `*out` for the engine hand-off.
   Status AcceptAnswerLocked(Session* session, CellRef cell,
                             const Value& value, Answer* out);
+  /// The submit path behind SubmitAnswer and SubmitAnswerBatch: expiry
+  /// sweep, session lookup, per-item acceptance, one kAnswerBatch frame,
+  /// and one engine hand-off for the accepted items. One Status per item.
+  std::vector<Status> SubmitItems(
+      SessionId session, const std::vector<std::pair<CellRef, Value>>& items);
   /// Expires every session idle past the lease deadline; `mu_` must be
   /// held. Returns the number of sessions expired. Unless `force`, the
   /// scan is skipped while the sweep watermark proves nothing can be
@@ -350,9 +355,10 @@ class CrowdService : public ServingBackend {
   LatencyStats* request_latency_;
   LatencyStats* submit_latency_;
 
-  // Order matters: engine_ schedules jobs on pool_ and is declared after it,
-  // so it is destroyed first and can drain its in-flight refresh.
-  ThreadPool pool_;
+  // Order matters: engine_ schedules refreshes on refresh_worker_ and is
+  // declared after it, so it is destroyed first and can drain its in-flight
+  // refresh.
+  ThreadPool refresh_worker_{1};
   std::unique_ptr<IncrementalInferenceEngine> engine_;
   TaskRouter router_;
 
@@ -361,13 +367,9 @@ class CrowdService : public ServingBackend {
   std::vector<TaskEntry> tasks_;     ///< row-major
   std::unordered_map<SessionId, Session> sessions_;
   SessionId next_session_ = 1;
-  int64_t sessions_started_total_ = 0;
-  int64_t sessions_expired_total_ = 0;
   int64_t last_sweep_nanos_ = 0;  ///< watermark of the last expiry scan
   int64_t budget_spent_ = 0;      ///< accepted answers (net of retractions)
   int64_t budget_committed_ = 0;  ///< accepted + outstanding leases
-  int64_t rejected_ = 0;
-  int64_t retractions_total_ = 0;
   int finalized_count_ = 0;
 };
 

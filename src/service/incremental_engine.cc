@@ -29,11 +29,6 @@ InferenceArgs Normalize(InferenceArgs args) {
   args.num_shards = std::max(1, args.num_shards);
   args.min_answers_for_fit = std::max(1, args.min_answers_for_fit);
   args.ingest_batch_size = std::max(1, args.ingest_batch_size);
-  // The refresh EM shards its E/M steps across the engine's persistent
-  // executor; num_threads records the effective shard count so a batch
-  // TCrowdModel run with these options reproduces the refresh bit-for-bit.
-  args.tcrowd_options.num_threads =
-      std::max(args.tcrowd_options.num_threads, args.num_shards);
   return args;
 }
 
@@ -67,8 +62,7 @@ IncrementalInferenceEngine::IncrementalInferenceEngine(const Schema& schema,
       num_rows_(num_rows),
       args_(Normalize(std::move(args))),
       pool_(pool),
-      executor_(
-          std::make_unique<EmExecutor>(args_.tcrowd_options.num_threads)),
+      executor_(std::make_unique<EmExecutor>(args_.num_shards)),
       store_(schema, num_rows, StoreActiveColumns(schema, args_),
              args_.store),
       tcrowd_path_(IsTCrowdMethod(args_.method)) {
@@ -614,7 +608,8 @@ InferenceResult IncrementalInferenceEngine::Finalize() {
   try {
     if (tcrowd_path_) {
       // Same hot loop, same executor, full batch convergence: matches a
-      // batch TCrowdModel run with args().tcrowd_options bit-for-bit.
+      // batch TCrowdModel run with args().tcrowd_options on an EmExecutor
+      // of args().num_shards shards bit-for-bit.
       result = TCrowdModel::StateToResult(
           MakeTCrowdModel().Fit(schema_, snapshot, executor_.get()));
     } else {

@@ -41,8 +41,11 @@ struct InferenceArgs {
   int staleness_threshold = 64;
 
   /// Shards of the engine's persistent EmExecutor, across which every
-  /// refresh fans its E/M steps. The executor (and its thread pool) lives
-  /// as long as the engine — refreshes never spawn threads.
+  /// refresh and Finalize() fans its E/M steps: the one parallelism setting
+  /// of the serving stack (`--threads`). The executor (and its thread
+  /// pool, which only exists above one shard) lives as long as the engine,
+  /// so refreshes never spawn threads. A batch TCrowdModel::Fit on an
+  /// EmExecutor of the same shard count reproduces Finalize() bit-for-bit.
   int num_shards = 1;
 
   /// When set, refreshes run as background jobs on the caller-supplied
@@ -113,9 +116,8 @@ class IncrementalInferenceEngine {
  public:
   /// `pool` (optional, unowned) runs async refreshes; it must outlive the
   /// engine. Pass nullptr to force inline refreshes. The constructor also
-  /// builds the engine's own persistent EmExecutor (spawning its worker
-  /// threads once) sized to the normalized
-  /// max(tcrowd_options.num_threads, num_shards).
+  /// builds the engine's own persistent EmExecutor of max(1, num_shards)
+  /// shards, spawning its worker threads once (none for one shard).
   IncrementalInferenceEngine(const Schema& schema, int num_rows,
                              InferenceArgs args, ThreadPool* pool);
   /// Blocks until any in-flight or coalesced-pending refresh has drained,

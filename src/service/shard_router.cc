@@ -350,7 +350,6 @@ ServiceStats ShardRouter::Stats() const {
     total.tasks_answered += s.tasks_answered;
     total.tasks_finalized += s.tasks_finalized;
     total.answers_accepted += s.answers_accepted;
-    total.answers_rejected += s.answers_rejected;
     total.answers_retracted += s.answers_retracted;
     total.answers_restored += s.answers_restored;
     total.assignments += s.assignments;
@@ -359,7 +358,10 @@ ServiceStats ShardRouter::Stats() const {
     total.engine_refreshes += s.engine_refreshes;
   }
   // Session accounting is router-global (the sub-sessions a shard counts
-  // are an implementation detail, N per worker arrival).
+  // are an implementation detail, N per worker arrival). Rejections are
+  // too: the router counts every non-OK item it returns, the shards'
+  // verdicts and its own (unknown session, row out of range, shard down).
+  total.answers_rejected = answers_rejected_->value();
   total.sessions_started = sessions_started_->value();
   total.sessions_active = static_cast<int64_t>(sessions_.size());
   total.sessions_expired = sessions_expired_->value();

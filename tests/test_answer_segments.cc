@@ -118,14 +118,12 @@ TEST(AnswerSegments, ShardedSegmentedFitIsBitIdenticalToShardedFlatFit) {
   // sharded M-step, so segment-boundary / shard-boundary interactions are
   // exercised together.
   SimWorld world(772, /*answers_per_task=*/9);
-  TCrowdOptions options = TCrowdOptions::Fast();
-  options.num_threads = 3;
-  TCrowdModel model(options);
+  TCrowdModel model(TCrowdOptions::Fast());
+  EmExecutor executor(3);
 
-  TCrowdState flat = model.Fit(world.world.schema, world.answers);
+  TCrowdState flat = model.Fit(world.world.schema, world.answers, &executor);
   AnswerMatrixSnapshot snap =
       SegmentedSnapshot(world.world.schema, world.answers, model, 5);
-  EmExecutor executor(3);
   TCrowdState segmented = model.Fit(world.world.schema, snap, &executor);
 
   ExpectStatesBitIdentical(flat, segmented);

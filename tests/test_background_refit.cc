@@ -223,7 +223,6 @@ ServedRun ServeStructureStream(const std::string& log_path) {
   EXPECT_TRUE(recorder.ok()) << recorder.status().ToString();
   service::ServiceConfig config;
   config.target_answers_per_task = 4;
-  config.num_threads = 2;
   config.inference.method = "tcrowd";
   config.inference.tcrowd_options = TCrowdOptions::Fast();
   config.inference.staleness_threshold = 48;

@@ -23,6 +23,7 @@ namespace {
 namespace fs = std::filesystem;
 
 using tcrowd::testing::ExpectTablesMatch;
+using tcrowd::testing::InferOnShards;
 using tcrowd::testing::SimWorld;
 
 std::string FreshDir(const char* name) {
@@ -103,8 +104,8 @@ TEST(CheckpointRecovery, RestoreThenFinalizeMatchesUninterruptedRunExactly) {
   ExpectTablesMatch(schema, finalized.estimated_truth,
                     expected.estimated_truth, 0.0);
   TCrowdModel batch(restored.args().tcrowd_options);
-  InferenceResult batch_result =
-      batch.Infer(schema, restored.SnapshotAnswers());
+  InferenceResult batch_result = InferOnShards(
+      batch, schema, restored.SnapshotAnswers(), restored.args().num_shards);
   ExpectTablesMatch(schema, finalized.estimated_truth,
                     batch_result.estimated_truth, 0.0);
 }
@@ -189,7 +190,8 @@ TEST(CheckpointRecovery, CrashBeforeAnyRefreshRecoversFromJournalAlone) {
   Replay(all, 100, all.size(), &restored);
   InferenceResult finalized = restored.Finalize();
   TCrowdModel batch(restored.args().tcrowd_options);
-  InferenceResult expected = batch.Infer(schema, restored.SnapshotAnswers());
+  InferenceResult expected = InferOnShards(
+      batch, schema, restored.SnapshotAnswers(), restored.args().num_shards);
   ExpectTablesMatch(schema, finalized.estimated_truth,
                     expected.estimated_truth, 0.0);
 }
@@ -234,7 +236,8 @@ TEST(CheckpointRecovery, CheckpointRacingConcurrentRefreshStaysConsistent) {
   ASSERT_EQ(restored.restored_answers(), all.size());
   InferenceResult finalized = restored.Finalize();
   TCrowdModel batch(restored.args().tcrowd_options);
-  InferenceResult expected = batch.Infer(schema, restored.SnapshotAnswers());
+  InferenceResult expected = InferOnShards(
+      batch, schema, restored.SnapshotAnswers(), restored.args().num_shards);
   ExpectTablesMatch(schema, finalized.estimated_truth,
                     expected.estimated_truth, 0.0);
 }
@@ -300,8 +303,8 @@ TEST(CheckpointRecovery, CrashBetweenRetractionAndSealFinalizesBitIdentical) {
                     expected.estimated_truth, 0.0);
   // And both equal the batch model over the surviving log.
   TCrowdModel batch(restored.args().tcrowd_options);
-  InferenceResult batch_result =
-      batch.Infer(schema, restored.SnapshotAnswers());
+  InferenceResult batch_result = InferOnShards(
+      batch, schema, restored.SnapshotAnswers(), restored.args().num_shards);
   ExpectTablesMatch(schema, finalized.estimated_truth,
                     batch_result.estimated_truth, 0.0);
 }
@@ -392,7 +395,8 @@ TEST(CheckpointRecovery, CorruptedSegmentFileFailsCleanlyAndServesOn) {
   Replay(all, 0, all.size(), &engine);
   InferenceResult finalized = engine.Finalize();
   TCrowdModel batch(engine.args().tcrowd_options);
-  InferenceResult expected = batch.Infer(schema, engine.SnapshotAnswers());
+  InferenceResult expected = InferOnShards(
+      batch, schema, engine.SnapshotAnswers(), engine.args().num_shards);
   ExpectTablesMatch(schema, finalized.estimated_truth,
                     expected.estimated_truth, 0.0);
   EXPECT_EQ(ReadFile(seg_path), bytes);
@@ -491,7 +495,6 @@ TEST(CheckpointRecovery, ServiceRestartResumesLedgerAndCompletesRun) {
 
   ServiceConfig config;
   config.target_answers_per_task = 3;
-  config.num_threads = 2;
   config.inference.staleness_threshold = 24;
   config.inference.ingest_batch_size = 1;  // accepted == durable, exactly
   config.inference.checkpoint.directory = dir;
@@ -535,7 +538,8 @@ TEST(CheckpointRecovery, ServiceRestartResumesLedgerAndCompletesRun) {
   InferenceResult finalized = svc.Finalize();
   TCrowdModel batch(svc.engine().args().tcrowd_options);
   InferenceResult expected =
-      batch.Infer(schema, svc.engine().SnapshotAnswers());
+      InferOnShards(batch, schema, svc.engine().SnapshotAnswers(),
+                    svc.engine().args().num_shards);
   ExpectTablesMatch(schema, finalized.estimated_truth,
                     expected.estimated_truth, 0.0);
 }

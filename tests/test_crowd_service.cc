@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <filesystem>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "assignment/policies.h"
@@ -21,7 +25,6 @@ Schema SmallSchema() {
 ServiceConfig CheapConfig(int target = 2) {
   ServiceConfig config;
   config.target_answers_per_task = target;
-  config.num_threads = 1;
   // Majority voting keeps unit tests free of EM fits.
   config.inference.method = "mv";
   config.inference.staleness_threshold = 1000000;
@@ -482,6 +485,44 @@ TEST(CrowdService, ExpiryIsLazyOnRequestPaths) {
   CrowdService::SessionId fresh = svc.StartSession(2);
   EXPECT_EQ(svc.Stats().sessions_expired, 1);
   EXPECT_EQ(svc.RequestTasks(fresh, 8).size(), 8u);
+}
+
+/// Threads of this process, read from /proc/self/task once two reads 5 ms
+/// apart agree (a thread joined just before may linger there briefly).
+int SettledThreadCount() {
+  auto count = [] {
+    return static_cast<int>(std::distance(
+        std::filesystem::directory_iterator("/proc/self/task"),
+        std::filesystem::directory_iterator()));
+  };
+  int last = count();
+  for (int attempt = 0; attempt < 200; ++attempt) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    int now = count();
+    if (now == last) return now;
+    last = now;
+  }
+  return last;
+}
+
+// A service starts one refresh worker (the engine never runs two refreshes
+// at once) plus num_shards EM threads when it shards the EM at all.
+TEST(CrowdService, StartsOneRefreshWorkerPlusTheEmShards) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task on this platform";
+  }
+  for (const auto& [num_shards, expected] : {std::pair{1, 1}, {2, 3}}) {
+    ServiceConfig config = CheapConfig();
+    config.inference.num_shards = num_shards;
+    const int before = SettledThreadCount();
+    {
+      CrowdService svc(SmallSchema(), 4, std::make_unique<LoopingPolicy>(),
+                       config);
+      EXPECT_EQ(SettledThreadCount() - before, expected)
+          << "num_shards=" << num_shards;
+    }
+    EXPECT_EQ(SettledThreadCount(), before) << "num_shards=" << num_shards;
+  }
 }
 
 }  // namespace

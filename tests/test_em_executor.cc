@@ -104,14 +104,12 @@ TEST(EmExecutor, FitWithMoreShardsThanRowsMatchesSerialBitForBit) {
   topt.num_rows = 3;
   SimWorld world(21, /*answers_per_task=*/2, topt);
 
-  TCrowdOptions serial_opt = TCrowdOptions::Fast();
-  TCrowdState serial =
-      TCrowdModel(serial_opt).Fit(world.world.schema, world.answers);
+  TCrowdModel model(TCrowdOptions::Fast());
+  TCrowdState serial = model.Fit(world.world.schema, world.answers);
 
-  TCrowdOptions sharded_opt = TCrowdOptions::Fast();
-  sharded_opt.num_threads = 8;  // > 3 rows
+  EmExecutor executor(8);  // > 3 rows
   TCrowdState sharded =
-      TCrowdModel(sharded_opt).Fit(world.world.schema, world.answers);
+      model.Fit(world.world.schema, world.answers, &executor);
 
   ASSERT_EQ(serial.posteriors.size(), sharded.posteriors.size());
   EXPECT_EQ(serial.em_iterations, sharded.em_iterations);
@@ -136,17 +134,18 @@ TEST(EmExecutor, FitWithMoreShardsThanRowsMatchesSerialBitForBit) {
   }
 }
 
-// A persistent executor reused across fits gives the same results as fresh
-// transient executors of the same shard count (scratch carries no state
-// between fits).
+// A persistent executor reused across fits gives the same results as a
+// fresh executor of the same shard count (scratch carries no state between
+// fits).
 TEST(EmExecutor, PersistentExecutorReuseMatchesTransientFits) {
   SimWorld world(22, /*answers_per_task=*/9);  // 2160 answers: sharded M-step
   ASSERT_GE(world.answers.size(), EmExecutor::kMinItemsForSharding);
-  TCrowdOptions opt = TCrowdOptions::Fast();
-  opt.num_threads = 4;
-  TCrowdModel model(opt);
+  TCrowdModel model(TCrowdOptions::Fast());
 
-  TCrowdState transient = model.Fit(world.world.schema, world.answers);
+  TCrowdState transient = [&] {
+    EmExecutor fresh(4);
+    return model.Fit(world.world.schema, world.answers, &fresh);
+  }();
 
   EmExecutor persistent(4);
   for (int round = 0; round < 2; ++round) {

@@ -1,9 +1,9 @@
 // The gain policies score leases from a cell table of the installed state
 // (CellGainTable) that Refresh() rebuilds and Observe() updates one cell
-// at a time. At every point of a run, including a failed background fit,
-// a fit whose posteriors hold NaN, and the thread-pool scoring path, the
-// table's gains must equal InformationGain's fresh computation on the same
-// state bit for bit, and top-k selection must equal repeated exclusion.
+// at a time. At every point of a run, including a failed background fit
+// and a fit whose posteriors hold NaN, the table's gains must equal
+// InformationGain's fresh computation on the same state bit for bit, and
+// top-k selection must equal repeated exclusion.
 
 #include <gtest/gtest.h>
 
@@ -27,9 +27,9 @@ using testing::SimWorld;
 /// A structure-aware policy with an injected fit and its state exposed.
 class ProbedStructurePolicy : public StructureAwarePolicy {
  public:
-  ProbedStructurePolicy(BackgroundRefit::FitFn fit, int num_threads)
+  explicit ProbedStructurePolicy(BackgroundRefit::FitFn fit)
       : StructureAwarePolicy(std::move(fit), TCrowdOptions::Fast(),
-                             ErrorCorrelationModel::Options(), num_threads) {}
+                             ErrorCorrelationModel::Options()) {}
   using InherentGainPolicy::state;
 };
 
@@ -132,7 +132,7 @@ void ExpectConsistent(ProbedStructurePolicy& policy, const Schema& schema,
   }
 }
 
-void RunConsistencyDrill(int num_threads) {
+TEST(CellGainTable, MatchesFreshGainThroughRefreshObserveAndFailedFit) {
   SimWorld w(171, /*answers_per_task=*/2);
   const Schema& schema = w.world.schema;
   // The bottom half of the table starts with no answers, so its cells tie
@@ -162,8 +162,7 @@ void RunConsistencyDrill(int num_threads) {
           }
         }
         return state;
-      },
-      num_threads);
+      });
 
   Seen seen;
   policy.Refresh(schema, answers);
@@ -194,14 +193,6 @@ void RunConsistencyDrill(int num_threads) {
   ASSERT_GE(refreshes, 4) << "the failed fit was never installed";
   EXPECT_GT(seen.nan_scores, 0) << "no NaN score was exercised";
   EXPECT_GT(seen.tied_picks, 0) << "no tie was exercised";
-}
-
-TEST(CellGainTable, MatchesFreshGainThroughRefreshObserveAndFailedFit) {
-  RunConsistencyDrill(/*num_threads=*/1);
-}
-
-TEST(CellGainTable, MatchesFreshGainOnThePoolScoringPath) {
-  RunConsistencyDrill(/*num_threads=*/3);
 }
 
 TEST(CellGainTable, UpdateMatchesRebuildAfterAnIncrementalAnswer) {

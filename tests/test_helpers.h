@@ -15,6 +15,9 @@
 #include "data/answer.h"
 #include "data/schema.h"
 #include "data/table.h"
+#include "inference/em_executor.h"
+#include "inference/inference_result.h"
+#include "inference/tcrowd_model.h"
 #include "simulation/crowd_simulator.h"
 #include "simulation/table_generator.h"
 
@@ -244,6 +247,17 @@ inline void ExpectSameAnswers(const std::vector<Answer>& a,
     EXPECT_EQ(a[k].cell.col, b[k].cell.col);
     ExpectSameValue(a[k].value, b[k].value);
   }
+}
+
+/// `model`'s batch fit on an EmExecutor of `num_shards` shards. With the
+/// engine's tcrowd_options and num_shards this is the fit the engine's
+/// Finalize() reproduces bit-for-bit.
+inline InferenceResult InferOnShards(const TCrowdModel& model,
+                                     const Schema& schema,
+                                     const AnswerSet& answers,
+                                     int num_shards) {
+  EmExecutor executor(num_shards);
+  return TCrowdModel::StateToResult(model.Fit(schema, answers, &executor));
 }
 
 /// Cell-by-cell table comparison; `tol == 0.0` demands bit-identical

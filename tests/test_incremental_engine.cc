@@ -15,6 +15,7 @@ namespace tcrowd::service {
 namespace {
 
 using tcrowd::testing::ExpectTablesMatch;
+using tcrowd::testing::InferOnShards;
 using tcrowd::testing::SimWorld;
 
 InferenceArgs SyncArgs(int staleness) {
@@ -67,8 +68,9 @@ TEST(IncrementalEngine, FinalizeMatchesBatchModelExactly) {
   // Same options (as normalized by the engine), same answers: the finalized
   // truths must agree with the batch model bit-for-bit.
   TCrowdModel batch(engine.args().tcrowd_options);
-  InferenceResult expected = batch.Infer(world.world.schema,
-                                         engine.SnapshotAnswers());
+  InferenceResult expected = InferOnShards(
+      batch, world.world.schema, engine.SnapshotAnswers(),
+      engine.args().num_shards);
   ExpectTablesMatch(world.world.schema, finalized.estimated_truth,
                     expected.estimated_truth, 1e-12);
 }
@@ -82,9 +84,10 @@ TEST(IncrementalEngine, IncrementalEstimatesTrackBatchEstimates) {
 
   Table incremental = engine.EstimatedTruth();
   TCrowdModel batch(engine.args().tcrowd_options);
-  Table batch_truth =
-      batch.Infer(world.world.schema, engine.SnapshotAnswers())
-          .estimated_truth;
+  Table batch_truth = InferOnShards(batch, world.world.schema,
+                                    engine.SnapshotAnswers(),
+                                    engine.args().num_shards)
+                          .estimated_truth;
 
   const Schema& schema = world.world.schema;
   int cat_total = 0, cat_agree = 0;
@@ -129,8 +132,9 @@ TEST(IncrementalEngine, AsyncRefreshOnPoolConverges) {
 
   InferenceResult finalized = engine.Finalize();
   TCrowdModel batch(engine.args().tcrowd_options);
-  InferenceResult expected = batch.Infer(world.world.schema,
-                                         engine.SnapshotAnswers());
+  InferenceResult expected = InferOnShards(
+      batch, world.world.schema, engine.SnapshotAnswers(),
+      engine.args().num_shards);
   ExpectTablesMatch(world.world.schema, finalized.estimated_truth,
                     expected.estimated_truth, 1e-12);
 }
@@ -159,7 +163,8 @@ TEST(IncrementalEngine, RestrictedVariantsRunTheRestrictedModel) {
   InferenceResult finalized = engine.Finalize();
   TCrowdModel batch =
       TCrowdModel::OnlyCategorical(schema, engine.args().tcrowd_options);
-  InferenceResult expected = batch.Infer(schema, engine.SnapshotAnswers());
+  InferenceResult expected = InferOnShards(
+      batch, schema, engine.SnapshotAnswers(), engine.args().num_shards);
   ExpectTablesMatch(schema, finalized.estimated_truth,
                     expected.estimated_truth, 1e-12);
 }
@@ -209,8 +214,9 @@ TEST(IncrementalEngine, CoalescesRefreshRequestsIntoOneFollowUp) {
 
   InferenceResult finalized = engine.Finalize();
   TCrowdModel batch(engine.args().tcrowd_options);
-  InferenceResult expected = batch.Infer(world.world.schema,
-                                         engine.SnapshotAnswers());
+  InferenceResult expected = InferOnShards(
+      batch, world.world.schema, engine.SnapshotAnswers(),
+      engine.args().num_shards);
   ExpectTablesMatch(world.world.schema, finalized.estimated_truth,
                     expected.estimated_truth, 1e-12);
 }
@@ -242,8 +248,9 @@ TEST(IncrementalEngine, ShardedFinalizeMatchesShardedBatchBitForBit) {
 
   InferenceResult finalized = engine.Finalize();
   TCrowdModel batch(engine.args().tcrowd_options);
-  InferenceResult expected = batch.Infer(world.world.schema,
-                                         engine.SnapshotAnswers());
+  InferenceResult expected = InferOnShards(
+      batch, world.world.schema, engine.SnapshotAnswers(),
+      engine.args().num_shards);
   ExpectTablesMatch(world.world.schema, finalized.estimated_truth,
                     expected.estimated_truth, 0.0);
 }
@@ -303,7 +310,8 @@ TEST(IncrementalEngine, BatchSubmitFinalizesBitIdenticalToPerAnswer) {
                     0.0);
   TCrowdModel batch(batched.args().tcrowd_options);
   InferenceResult expected =
-      batch.Infer(world.world.schema, batched.SnapshotAnswers());
+      InferOnShards(batch, world.world.schema, batched.SnapshotAnswers(),
+                    batched.args().num_shards);
   ExpectTablesMatch(world.world.schema, b.estimated_truth,
                     expected.estimated_truth, 0.0);
 }
@@ -360,8 +368,9 @@ TEST(IncrementalEngine, RefreshRacingBatchIngestStaysConsistent) {
 
   InferenceResult finalized = engine.Finalize();
   TCrowdModel batch(engine.args().tcrowd_options);
-  InferenceResult expected = batch.Infer(world.world.schema,
-                                         engine.SnapshotAnswers());
+  InferenceResult expected = InferOnShards(
+      batch, world.world.schema, engine.SnapshotAnswers(),
+      engine.args().num_shards);
   ExpectTablesMatch(world.world.schema, finalized.estimated_truth,
                     expected.estimated_truth, 0.0);
 }

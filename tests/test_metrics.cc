@@ -169,7 +169,7 @@ TEST(MetricsRegistry, HandlesAreStableAcrossLookups) {
 TEST(MetricsRegistry, LatencyStatsSummarize) {
   LatencyStats stats;
   EXPECT_EQ(stats.count(), 0);
-  EXPECT_DOUBLE_EQ(stats.PercentileMicros(0.5), 0.0);
+  EXPECT_DOUBLE_EQ(stats.ApproxPercentile(0.5), 0.0);
 
   for (int i = 0; i < 99; ++i) stats.Record(2.0);
   stats.Record(1000.0);
@@ -177,10 +177,10 @@ TEST(MetricsRegistry, LatencyStatsSummarize) {
   EXPECT_NEAR(stats.mean_micros(), (99 * 2.0 + 1000.0) / 100.0, 1e-9);
   EXPECT_DOUBLE_EQ(stats.max_micros(), 1000.0);
   // p50 sits in the [2,4) bucket; p999+ reaches the 1000us outlier.
-  EXPECT_LE(stats.PercentileMicros(0.5), 4.0);
-  EXPECT_GE(stats.PercentileMicros(0.999), 512.0);
+  EXPECT_LE(stats.ApproxPercentile(0.5), 4.0);
+  EXPECT_GE(stats.ApproxPercentile(0.999), 512.0);
   // Approximation never exceeds the observed maximum.
-  EXPECT_LE(stats.PercentileMicros(0.999), 1000.0);
+  EXPECT_LE(stats.ApproxPercentile(0.999), 1000.0);
 }
 
 TEST(MetricsRegistry, GaugesMoveBothWays) {
@@ -217,7 +217,6 @@ TEST(LatencyStats, SingleSampleIsItsOwnQuantile) {
   EXPECT_DOUBLE_EQ(stats.ApproxPercentile(0.0), 3.0);
   EXPECT_DOUBLE_EQ(stats.ApproxPercentile(0.5), 3.0);
   EXPECT_DOUBLE_EQ(stats.ApproxPercentile(1.0), 3.0);
-  EXPECT_DOUBLE_EQ(stats.PercentileMicros(0.5), 3.0);  // alias
 }
 
 TEST(LatencyStats, QuantileReadsTheBucketUpperEdge) {

@@ -50,7 +50,6 @@ sim::CrowdOptions SmallCrowd() {
 service::ServiceConfig NoRefreshConfig() {
   service::ServiceConfig config;
   config.target_answers_per_task = 3;
-  config.num_threads = 2;
   config.inference.method = "tcrowd";
   config.inference.tcrowd_options = TCrowdOptions::Fast();
   config.inference.staleness_threshold = 1000;

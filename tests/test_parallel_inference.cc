@@ -1,13 +1,16 @@
-// Tests for the multi-threaded EM (TCrowdOptions::num_threads), the
-// parallel/distributed inference the paper lists as future work.
+// Tests for the sharded EM (TCrowdModel::Fit on a multi-shard EmExecutor),
+// the parallel/distributed inference the paper lists as future work.
 #include <gtest/gtest.h>
 
+#include "inference/em_executor.h"
 #include "inference/tcrowd_model.h"
 #include "platform/metrics.h"
 #include "test_helpers.h"
 
 namespace tcrowd {
 namespace {
+
+using testing::InferOnShards;
 
 sim::TableGeneratorOptions BigTable() {
   sim::TableGeneratorOptions opt;
@@ -18,12 +21,9 @@ sim::TableGeneratorOptions BigTable() {
 
 TEST(ParallelInference, MatchesSerialEstimates) {
   testing::SimWorld w(991, 5, BigTable());
-  TCrowdOptions serial_opt, parallel_opt;
-  parallel_opt.num_threads = 4;
-  InferenceResult serial = TCrowdModel(serial_opt)
-                               .Infer(w.world.schema, w.answers);
-  InferenceResult parallel = TCrowdModel(parallel_opt)
-                                 .Infer(w.world.schema, w.answers);
+  InferenceResult serial = TCrowdModel().Infer(w.world.schema, w.answers);
+  InferenceResult parallel =
+      InferOnShards(TCrowdModel(), w.world.schema, w.answers, 4);
   int label_mismatches = 0;
   for (int i = 0; i < w.world.truth.num_rows(); ++i) {
     for (int j = 0; j < w.world.schema.num_columns(); ++j) {
@@ -46,11 +46,10 @@ TEST(ParallelInference, MatchesSerialEstimates) {
 
 TEST(ParallelInference, MatchesSerialWorkerQuality) {
   testing::SimWorld w(992, 4, BigTable());
-  TCrowdOptions parallel_opt;
-  parallel_opt.num_threads = 4;
   TCrowdState serial = TCrowdModel().Fit(w.world.schema, w.answers);
+  EmExecutor executor(4);
   TCrowdState parallel =
-      TCrowdModel(parallel_opt).Fit(w.world.schema, w.answers);
+      TCrowdModel().Fit(w.world.schema, w.answers, &executor);
   for (const auto& [worker, phi] : serial.worker_phi) {
     ASSERT_TRUE(parallel.worker_phi.count(worker));
     EXPECT_NEAR(parallel.worker_phi.at(worker), phi, 1e-3 * (1.0 + phi))
@@ -58,12 +57,11 @@ TEST(ParallelInference, MatchesSerialWorkerQuality) {
   }
 }
 
-TEST(ParallelInference, DeterministicForFixedThreadCount) {
+TEST(ParallelInference, DeterministicForFixedShardCount) {
   testing::SimWorld w(993, 4, BigTable());
-  TCrowdOptions opt;
-  opt.num_threads = 3;
-  TCrowdState a = TCrowdModel(opt).Fit(w.world.schema, w.answers);
-  TCrowdState b = TCrowdModel(opt).Fit(w.world.schema, w.answers);
+  EmExecutor first(3), second(3);
+  TCrowdState a = TCrowdModel().Fit(w.world.schema, w.answers, &first);
+  TCrowdState b = TCrowdModel().Fit(w.world.schema, w.answers, &second);
   ASSERT_EQ(a.posteriors.size(), b.posteriors.size());
   for (size_t k = 0; k < a.posteriors.size(); ++k) {
     EXPECT_DOUBLE_EQ(a.posteriors[k].mean, b.posteriors[k].mean);
@@ -76,24 +74,21 @@ TEST(ParallelInference, DeterministicForFixedThreadCount) {
 
 TEST(ParallelInference, QualityUnaffected) {
   testing::SimWorld w(994, 5, BigTable());
-  TCrowdOptions opt;
-  opt.num_threads = 4;
-  InferenceResult r = TCrowdModel(opt).Infer(w.world.schema, w.answers);
+  InferenceResult r =
+      InferOnShards(TCrowdModel(), w.world.schema, w.answers, 4);
   EXPECT_LT(Metrics::ErrorRate(w.world.truth, r.estimated_truth), 0.4);
   EXPECT_LT(Metrics::Mnad(w.world.truth, r.estimated_truth), 0.8);
 }
 
 TEST(ParallelInference, SmallInputsStaySerialAndCorrect) {
   // Below the parallel-dispatch threshold the pool path is bypassed; the
-  // option must still be harmless.
+  // shards must still be harmless.
   Schema schema({Schema::MakeCategorical("c", {"a", "b"})});
   AnswerSet answers(2, 1);
   answers.Add(0, CellRef{0, 0}, Value::Categorical(1));
   answers.Add(1, CellRef{0, 0}, Value::Categorical(1));
   answers.Add(0, CellRef{1, 0}, Value::Categorical(0));
-  TCrowdOptions opt;
-  opt.num_threads = 8;
-  InferenceResult r = TCrowdModel(opt).Infer(schema, answers);
+  InferenceResult r = InferOnShards(TCrowdModel(), schema, answers, 8);
   EXPECT_EQ(r.estimated_truth.at(0, 0).label(), 1);
   EXPECT_EQ(r.estimated_truth.at(1, 0).label(), 0);
 }

@@ -167,20 +167,6 @@ TEST(InherentGainPolicy, PicksTheArgmaxGainCell) {
   }
 }
 
-TEST(InherentGainPolicy, ParallelScoringMatchesSerial) {
-  testing::SimWorld w(56, 2);
-  InherentGainPolicy serial(FastOpts(), 1);
-  InherentGainPolicy parallel(FastOpts(), 4);
-  serial.Refresh(w.world.schema, w.answers);
-  parallel.Refresh(w.world.schema, w.answers);
-  for (WorkerId u : w.answers.Workers()) {
-    CellRef a, b;
-    ASSERT_TRUE(serial.SelectTask(w.world.schema, w.answers, u, &a));
-    ASSERT_TRUE(parallel.SelectTask(w.world.schema, w.answers, u, &b));
-    EXPECT_EQ(a, b) << "worker " << u;
-  }
-}
-
 TEST(StructureAwarePolicy, FallsBackToInherentWithoutRowHistory) {
   testing::SimWorld w(57, 2);
   StructureAwarePolicy policy(FastOpts());
@@ -225,8 +211,6 @@ TEST(GainPolicies, TopKMatchesRepeatedExclusionIncludingTies) {
   const Spec specs[] = {
       {"InherentGain",
        [] { return std::make_unique<InherentGainPolicy>(FastOpts()); }},
-      {"InherentGain/4 threads",
-       [] { return std::make_unique<InherentGainPolicy>(FastOpts(), 4); }},
       {"StructureAware",
        [] { return std::make_unique<StructureAwarePolicy>(FastOpts()); }},
   };

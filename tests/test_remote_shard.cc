@@ -52,7 +52,6 @@ std::string FreshDir(const char* name) {
 ServiceConfig BaseConfig(const std::string& checkpoint_dir = "") {
   ServiceConfig config;
   config.target_answers_per_task = 1000;
-  config.num_threads = 1;
   config.inference.method = "tcrowd";
   config.inference.tcrowd_options = TCrowdOptions::Fast();
   config.inference.staleness_threshold = 1 << 20;

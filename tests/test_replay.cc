@@ -1,8 +1,8 @@
 // The record/replay determinism contract (docs/OBSERVABILITY.md): a run
 // recorded through ServiceConfig::recorder replays onto a fresh service
-// with a bit-identical Finalize() truth digest — at any replay thread
-// count — and a torn log (crash mid-record) still replays its clean
-// prefix through the crash point.
+// with a bit-identical Finalize() truth digest — below the EM's sharding
+// threshold at any replay shard count — and a torn log (crash mid-record)
+// still replays its clean prefix through the crash point.
 
 #include "service/replay.h"
 
@@ -13,6 +13,7 @@
 #include <string>
 
 #include "assignment/policies.h"
+#include "inference/em_executor.h"
 #include "platform/event_log.h"
 #include "service/crowd_service.h"
 #include "simulation/scenario.h"
@@ -43,7 +44,6 @@ sim::CrowdOptions SmallCrowd() {
 ServiceConfig RecordedConfig(EventRecorder* recorder) {
   ServiceConfig config;
   config.target_answers_per_task = 4;
-  config.num_threads = 2;
   config.inference.method = "tcrowd";
   config.inference.tcrowd_options = TCrowdOptions::Fast();
   config.inference.staleness_threshold = 48;
@@ -52,9 +52,9 @@ ServiceConfig RecordedConfig(EventRecorder* recorder) {
   return config;
 }
 
-ServiceConfig ReplayConfig(int num_threads) {
+ServiceConfig ReplayConfig(int num_shards) {
   ServiceConfig config = RecordedConfig(nullptr);
-  config.num_threads = num_threads;
+  config.inference.num_shards = num_shards;
   return config;
 }
 
@@ -88,12 +88,12 @@ void RecordScenarioRun(const std::string& scenario, uint64_t world_seed,
 /// Replays `path` onto a fresh service over the same world and returns the
 /// report. The world seed must match the recorded run's.
 ReplayReport ReplayOnto(const std::string& path, uint64_t world_seed,
-                        int num_threads) {
+                        int num_shards) {
   SimWorld world(world_seed, /*answers_per_task=*/0, SmallTable(),
                  SmallCrowd());
   CrowdService svc(world.world.schema, world.world.truth.num_rows(),
                    std::make_unique<LoopingPolicy>(),
-                   ReplayConfig(num_threads));
+                   ReplayConfig(num_shards));
   ReplayReport report;
   Status status = ReplayEventLogFile(path, &svc, &report);
   EXPECT_TRUE(status.ok()) << status.ToString();
@@ -104,7 +104,7 @@ TEST(Replay, SpamWaveReplaysBitIdentically) {
   const std::string path = ::testing::TempDir() + "/replay_spam.events";
   RecordScenarioRun("spam-wave", 54, 29, path);
 
-  ReplayReport report = ReplayOnto(path, 54, /*num_threads=*/2);
+  ReplayReport report = ReplayOnto(path, 54, /*num_shards=*/1);
   EXPECT_FALSE(report.log_truncated);
   EXPECT_EQ(report.status_divergences, 0) << report.first_divergence;
   ASSERT_TRUE(report.reached_finalize);
@@ -120,7 +120,7 @@ TEST(Replay, RetractionStormReplaysBitIdentically) {
   const std::string path = ::testing::TempDir() + "/replay_storm.events";
   RecordScenarioRun("retraction-storm", 55, 37, path);
 
-  ReplayReport report = ReplayOnto(path, 55, /*num_threads=*/2);
+  ReplayReport report = ReplayOnto(path, 55, /*num_shards=*/1);
   EXPECT_EQ(report.status_divergences, 0) << report.first_divergence;
   ASSERT_TRUE(report.reached_finalize);
   EXPECT_TRUE(report.digest_match);
@@ -130,19 +130,21 @@ TEST(Replay, RetractionStormReplaysBitIdentically) {
 }
 
 TEST(Replay, DigestIsIndependentOfReplayThreadCount) {
-  // Leases come from the log, not the router, so the replay service's
-  // thread count must not perturb the outcome.
+  // Leases come from the log, not the router, and a log below the EM's
+  // sharding threshold fits serially at any shard count, so the replay
+  // engine's EM thread count must not perturb the outcome.
   const std::string path = ::testing::TempDir() + "/replay_threads.events";
   RecordScenarioRun("spam-wave", 54, 31, path);
 
   uint64_t digests[3];
   int idx = 0;
-  for (int threads : {1, 2, 4}) {
-    ReplayReport report = ReplayOnto(path, 54, threads);
-    EXPECT_TRUE(report.ok()) << "threads=" << threads << " "
+  for (int shards : {1, 2, 4}) {
+    ReplayReport report = ReplayOnto(path, 54, shards);
+    EXPECT_TRUE(report.ok()) << "shards=" << shards << " "
                              << report.first_divergence;
-    ASSERT_TRUE(report.reached_finalize) << "threads=" << threads;
-    EXPECT_TRUE(report.digest_match) << "threads=" << threads;
+    ASSERT_TRUE(report.reached_finalize) << "shards=" << shards;
+    EXPECT_LT(report.replayed_answer_count, EmExecutor::kMinItemsForSharding);
+    EXPECT_TRUE(report.digest_match) << "shards=" << shards;
     digests[idx++] = report.replayed_digest;
   }
   EXPECT_EQ(digests[0], digests[1]);

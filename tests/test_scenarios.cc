@@ -22,6 +22,7 @@ namespace tcrowd::sim {
 namespace {
 
 using tcrowd::testing::ExpectTablesMatch;
+using tcrowd::testing::InferOnShards;
 using tcrowd::testing::SimWorld;
 
 /// A tame 12x4 world whose honest workers are accurate and uniformly
@@ -48,7 +49,6 @@ CrowdOptions TameCrowd() {
 service::ServiceConfig ScenarioConfig(int target = 5) {
   service::ServiceConfig config;
   config.target_answers_per_task = target;
-  config.num_threads = 2;
   config.inference.method = "tcrowd";
   config.inference.tcrowd_options = TCrowdOptions::Fast();
   config.inference.staleness_threshold = 48;
@@ -224,7 +224,8 @@ TEST(Scenarios, RetractionStormExercisesTheTombstonePathEndToEnd) {
   InferenceResult finalized = svc.Finalize();
   AnswerSet survivors = svc.engine().SnapshotAnswers();
   TCrowdModel batch(svc.engine().args().tcrowd_options);
-  InferenceResult expected = batch.Infer(world.world.schema, survivors);
+  InferenceResult expected = InferOnShards(
+      batch, world.world.schema, survivors, svc.engine().args().num_shards);
   ExpectTablesMatch(world.world.schema, finalized.estimated_truth,
                     expected.estimated_truth, 0.0);
 }

@@ -30,7 +30,6 @@ using tcrowd::testing::SimWorld;
 ServiceConfig ServingConfig(int target) {
   ServiceConfig config;
   config.target_answers_per_task = target;
-  config.num_threads = 2;
   config.inference.method = "tcrowd";
   config.inference.tcrowd_options = TCrowdOptions::Fast();
   config.inference.staleness_threshold = 60;
@@ -100,7 +99,8 @@ TEST(ServiceIntegration, ReplayDrainsBudgetAndMatchesBatchInference) {
   AnswerSet collected = svc.engine().SnapshotAnswers();
   EXPECT_EQ(collected.size(), static_cast<size_t>(report.answers));
   TCrowdModel batch(svc.engine().args().tcrowd_options);
-  InferenceResult expected = batch.Infer(world.world.schema, collected);
+  InferenceResult expected = tcrowd::testing::InferOnShards(
+      batch, world.world.schema, collected, svc.engine().args().num_shards);
   for (int i = 0; i < world.world.truth.num_rows(); ++i) {
     for (int j = 0; j < world.world.schema.num_columns(); ++j) {
       const Value& got = finalized.estimated_truth.at(i, j);
@@ -162,7 +162,8 @@ TEST(ServiceIntegration, BatchReplayDrainsAndMatchesBatchInference) {
   InferenceResult finalized = svc.Finalize();
   AnswerSet collected = svc.engine().SnapshotAnswers();
   TCrowdModel batch(svc.engine().args().tcrowd_options);
-  InferenceResult expected = batch.Infer(world.world.schema, collected);
+  InferenceResult expected = tcrowd::testing::InferOnShards(
+      batch, world.world.schema, collected, svc.engine().args().num_shards);
   for (int i = 0; i < world.world.truth.num_rows(); ++i) {
     for (int j = 0; j < world.world.schema.num_columns(); ++j) {
       const Value& got = finalized.estimated_truth.at(i, j);
@@ -357,7 +358,6 @@ void HammerConcurrently(ServingBackend* backend, int num_cells, int target) {
 ServiceConfig HammerConfig(int target) {
   ServiceConfig config;
   config.target_answers_per_task = target;
-  config.num_threads = 2;
   config.inference.method = "mv";
   config.inference.staleness_threshold = 100;
   return config;

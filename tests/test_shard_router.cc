@@ -45,7 +45,6 @@ std::string FreshDir(const char* name) {
 ServiceConfig BaseConfig(const std::string& checkpoint_dir = "") {
   ServiceConfig config;
   config.target_answers_per_task = 1000;  // the scripts own acceptance
-  config.num_threads = 1;
   config.inference.method = "tcrowd";
   config.inference.tcrowd_options = TCrowdOptions::Fast();
   config.inference.staleness_threshold = 1 << 20;
@@ -442,6 +441,38 @@ TEST(ShardRouter, ExportsServiceCountersAtItsOwnBoundary) {
   EXPECT_EQ(counter("service.answers_retracted"),
             router.Stats().answers_retracted);
   EXPECT_EQ(counter("service.answer_batches"), report.batches);
+}
+
+TEST(ShardRouter, StatsCountTheRoutersOwnRejections) {
+  SimWorld world(24, /*answers_per_task=*/0);
+  const Schema& schema = world.world.schema;
+  const int rows = world.world.truth.num_rows();
+  ShardRouter router(schema, rows, RouterConfig(2));
+  auto rejected_counter = [&] {
+    return router.metrics().counter("service.answers_rejected").value();
+  };
+  const CellRef first_row{0, 0};
+  const Value value = schema.column(0).type == ColumnType::kCategorical
+                          ? Value::Categorical(0)
+                          : Value::Continuous(1.0);
+
+  // Rejected by the router itself: an unknown session, a row outside the
+  // table, a row whose shard is down.
+  EXPECT_FALSE(router.SubmitAnswer(12345, first_row, value).ok());
+  EXPECT_EQ(rejected_counter(), 1);
+  EXPECT_EQ(router.Stats().answers_rejected, 1);
+  ShardRouter::SessionId session = router.StartSession(3);
+  EXPECT_FALSE(router.SubmitAnswer(session, CellRef{rows, 0}, value).ok());
+  router.CrashShard(1);
+  EXPECT_FALSE(
+      router.SubmitAnswer(session, CellRef{rows - 1, 0}, value).ok());
+  EXPECT_EQ(rejected_counter(), 3);
+  EXPECT_EQ(router.Stats().answers_rejected, 3);
+
+  // Rejected by a shard (no lease on the cell): counted once, not twice.
+  EXPECT_FALSE(router.SubmitAnswer(session, first_row, value).ok());
+  EXPECT_EQ(rejected_counter(), 4);
+  EXPECT_EQ(router.Stats().answers_rejected, 4);
 }
 
 }  // namespace

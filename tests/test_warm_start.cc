@@ -154,7 +154,8 @@ TEST(WarmStart, FinalizeAfterWarmRefreshesMatchesBatchBitForBit) {
   InferenceResult finalized = engine.Finalize();
   TCrowdModel batch(engine.args().tcrowd_options);
   InferenceResult expected =
-      batch.Infer(w.world.schema, engine.SnapshotAnswers());
+      testing::InferOnShards(batch, w.world.schema, engine.SnapshotAnswers(),
+                             engine.args().num_shards);
   EXPECT_EQ(finalized.iterations, expected.iterations);
   ASSERT_EQ(finalized.posteriors.size(), expected.posteriors.size());
   for (size_t k = 0; k < expected.posteriors.size(); ++k) {

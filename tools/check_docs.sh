@@ -43,6 +43,11 @@
 #      (backfills are the `service.tasks_backfilled` counter) and the
 #      phrase "inline policy refit" (policies refit on their own worker
 #      thread) must not reappear in README.md, docs/ or src/.
+#  12. one thread knob: `--threads` (InferenceArgs::num_shards) is the
+#      only parallelism setting. The deleted thread counts of ServiceConfig
+#      and TCrowdOptions, and a `--threads` flag of `tcrowd_cli replay`,
+#      must not reappear in README.md, docs/, src/ or tools/ (the strict-
+#      flags smoke, which pins that replay refuses the flag, excepted).
 #
 # Run it locally after adding a module or touching the answer path:
 #
@@ -260,6 +265,20 @@ if [ -n "$retired" ]; then
   fail=1
 fi
 
+# One thread knob. Bracketed patterns, so this script does not match
+# itself.
+thread_knobs=$(cd "$repo_root" && grep -rnE \
+    'ServiceConfig::num_thr[e]ads|TCrowdOptions::num_thr[e]ads|tcrowd_options\.num_thr[e]ads|(config|base|options_?|opt)\.num_thr[e]ads|threads_giv[e]n|(replay|\.events)[^|;]*--thr[e]ads' \
+    README.md docs src tools 2>/dev/null |
+  grep -v '^tools/smoke_strict_flags\.sh:' || true)
+if [ -n "$thread_knobs" ]; then
+  echo "check_docs.sh: a retired thread setting reappeared (--threads," \
+       "InferenceArgs::num_shards, is the only one; replay fits at the" \
+       "recorded shard count):" >&2
+  echo "$thread_knobs" | sed 's/^/  /' >&2
+  fail=1
+fi
+
 [ "$fail" -eq 0 ] || exit 1
 
-echo "check_docs.sh: all $(ls -d "$repo_root"/src/*/ | wc -l | tr -d ' ') src/ modules are documented; data-lifecycle, persistence, scenarios, observability, protocol, and sharding docs are fresh; one byte codec; one event loop and one driver loop; no retired descriptions."
+echo "check_docs.sh: all $(ls -d "$repo_root"/src/*/ | wc -l | tr -d ' ') src/ modules are documented; data-lifecycle, persistence, scenarios, observability, protocol, and sharding docs are fresh; one byte codec; one event loop and one driver loop; no retired descriptions; one thread knob."

@@ -84,10 +84,9 @@ std::unique_ptr<AssignmentPolicy> MakeServingPolicy(const std::string& name,
 service::ServiceConfig MakeServingConfig(const ServingOptions& opt) {
   service::ServiceConfig config;
   config.target_answers_per_task = opt.target;
-  config.num_threads = opt.threads;
   config.inference.method = opt.engine;
   config.inference.staleness_threshold = opt.staleness;
-  config.inference.num_shards = config.num_threads;
+  config.inference.num_shards = opt.threads;
   config.inference.checkpoint.directory = opt.checkpoint_dir;
   config.router.seed = opt.seed + 2;
   return config;

@@ -43,6 +43,8 @@ struct ServingOptions {
   std::string policy = "structure";
   std::string engine = "tcrowd";
   int target = 4;
+  /// --threads: InferenceArgs::num_shards, each engine's EM shard count (no
+  /// EM threads at 1) and the serving stack's only thread setting.
   int threads = 2;
   int staleness = 64;
   std::string checkpoint_dir;

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Strict-flags smoke: a flag no command reads (here the retired
-# multi-thread and poll-loop flags) or a value that does not parse must
-# fail the run with exit 2 and name the flag, before any work starts.
+# multi-driver, replay-thread and poll-loop flags) or a value that does
+# not parse must fail the run with exit 2 and name the flag, before any
+# work starts.
 #
 # Usage: smoke_strict_flags.sh <tcrowd_serverd> <tcrowd_cli>
 set -u
@@ -35,6 +36,7 @@ expect_refusal --drivers "$cli" serve-sim $world --drivers=2
 expect_refusal --racy "$cli" serve-sim $world --racy
 # shellcheck disable=SC2086
 expect_refusal --threads=abc "$cli" serve-sim $world --threads=abc
+expect_refusal --threads "$cli" replay /nonexistent.events --threads=1
 expect_refusal --rows "$cli" simulate --out=/nonexistent --dataset=restaurant \
   --rows=5
 expect_refusal --workers "$cli" client --connect=127.0.0.1:1 --stats \

@@ -101,13 +101,16 @@ commands:
              [--record=FILE] [--metrics-out=FILE]
              [--metrics-interval-ms=N] [--report-json=FILE]
              [--trace=debug|info|warn|off]
-  replay     <event-log> [--threads=T] [--trace=debug|info|warn|off]
+  replay     <event-log> [--trace=debug|info|warn|off]
   inspect    <snapshot-dir>
   client     --connect=HOST:PORT [--drive] [--finalize] [--stats]
              [--metrics] [--connections=N] [--arrivals=N]
              [--tasks-per-worker=K] [--batch-size=N] [--abandon=P]
              [--dataset=...|--rows=N --cols=M --ratio=R --workers=W]
              [--seed=S]
+
+serve-sim threads: --threads=T is the EM shard count of each engine, its
+only thread setting (T > 1 starts T EM threads; see docs/ARCHITECTURE.md).
 
 serve-sim durability: --checkpoint-dir=DIR persists the answer log (and
 restores it at startup). --crash-after=N runs a crash drill: serve until N
@@ -117,8 +120,8 @@ the checkpoint, and drive the remainder to completion.
 serve-sim observability (docs/OBSERVABILITY.md): --record=FILE writes the
 deterministic event log (a crash drill records phase 1 to FILE.crash, the
 post-restart run to FILE); `replay` re-drives it and exits non-zero on any
-divergence. Replay fits at the recorded --threads; its own --threads sizes
-only the service pool. --metrics-out=FILE re-exports Prometheus text metrics every
+divergence; it fits at the recorded --threads (the EM shard count).
+--metrics-out=FILE re-exports Prometheus text metrics every
 --metrics-interval-ms (default 1000) and at exit. --trace tunes the
 always-on trace ring (debug enables per-answer events).
 
@@ -821,8 +824,6 @@ int CmdReplay(const FlagParser& flags) {
   if (!ApplyTraceFlag(flags)) return 2;
   std::string path = flags.positional().empty() ? flags.GetString("log")
                                                 : flags.positional()[0];
-  const bool threads_given = flags.Has("threads");
-  const int threads = static_cast<int>(flags.GetInt("threads", 2));
   if (!FlagsValid(flags, "replay")) return 2;
   if (path.empty()) {
     std::fprintf(stderr, "replay: usage: tcrowd replay <event-log>\n");
@@ -898,18 +899,13 @@ int CmdReplay(const FlagParser& flags) {
   service::ServiceConfig config;
   config.target_answers_per_task =
       std::atoi(recipe_get("target", "4").c_str());
-  // The EM runs at the recorded shard count: sharded passes agree only to
-  // reduction order, so above EmExecutor::kMinItemsForSharding answers the
-  // Finalize digest depends on it. --threads overrides only the service
-  // pool — replay determinism must not depend on it (leases come from the
-  // log, not the router), and the determinism tests drive exactly this
-  // override.
-  const int recorded_threads = std::atoi(recipe_get("threads", "2").c_str());
-  config.num_threads = threads_given ? threads : recorded_threads;
   config.inference.method = recipe_get("engine", "tcrowd");
   config.inference.staleness_threshold =
       std::atoi(recipe_get("staleness", "64").c_str());
-  config.inference.num_shards = recorded_threads;
+  // The EM runs at the recorded shard count: sharded passes agree only to
+  // reduction order, so above EmExecutor::kMinItemsForSharding answers the
+  // Finalize digest depends on it.
+  config.inference.num_shards = std::atoi(recipe_get("threads", "2").c_str());
   config.router.seed = seed + 2;
 
   const std::string policy_name =
